@@ -22,8 +22,9 @@ import (
 // paper's command FIFOs: callers post commands into a bounded ring per
 // shard and a per-shard worker goroutine drains them run-to-completion as
 // the shard's single writer, so producers pipeline instead of serializing
-// on lock handoff. The synchronous API keeps working after Start as a thin
-// blocking wrapper over the rings; EnqueueAsync posts fire-and-forget.
+// on lock handoff. Every operation is one command whichever datapath runs
+// it: after Start the same calls post their command and wait for its
+// completion; EnqueueAsync posts fire-and-forget.
 //
 // # Error contract
 //
@@ -121,7 +122,7 @@ func (cm *ConcurrentQueueManager) EnqueuePacket(q uint32, data []byte) (int, err
 }
 
 // DequeuePacket removes and reassembles the packet at the head of flow q.
-// The returned buffer is pooled; hand it back with Release when done.
+// The returned buffer is pooled; hand it back with ReleaseBuffer when done.
 func (cm *ConcurrentQueueManager) DequeuePacket(q uint32) ([]byte, error) {
 	return cm.e.DequeuePacket(q)
 }
@@ -129,12 +130,6 @@ func (cm *ConcurrentQueueManager) DequeuePacket(q uint32) ([]byte, error) {
 // ReleaseBuffer recycles a buffer returned by DequeuePacket, DequeueBatch,
 // DequeueNext or DequeueNextBatch.
 func (cm *ConcurrentQueueManager) ReleaseBuffer(buf []byte) { cm.e.ReleaseBuffer(buf) }
-
-// Release recycles a buffer returned by DequeuePacket or DequeueBatch.
-//
-// Deprecated: use ReleaseBuffer, which names the copy-path buffer
-// explicitly now that zero-copy PacketViews have their own Release.
-func (cm *ConcurrentQueueManager) Release(buf []byte) { cm.e.ReleaseBuffer(buf) }
 
 // DequeuePacketView removes the packet at the head of flow q as a
 // zero-copy view over its segment chain — no reassembly buffer, no copy.
@@ -217,7 +212,7 @@ func (cm *ConcurrentQueueManager) EnqueueBatch(batch []PacketEnqueue) (int, []er
 }
 
 // DequeueBatch dequeues the head packet of every listed flow, locking each
-// shard once. Buffers are pooled; Release them when done.
+// shard once. Buffers are pooled; ReleaseBuffer them when done.
 func (cm *ConcurrentQueueManager) DequeueBatch(flows []uint32) ([][]byte, []error) {
 	return cm.e.DequeueBatch(flows)
 }
@@ -248,14 +243,14 @@ func (cm *ConcurrentQueueManager) FreeSegments() int { return cm.e.FreeSegments(
 
 // DequeueNext serves one packet chosen by the configured egress
 // discipline (round-robin unless set otherwise). ok is false when the
-// engine holds no packets. Release the data when done.
+// engine holds no packets. ReleaseBuffer the data when done.
 func (cm *ConcurrentQueueManager) DequeueNext() (DequeuedPacket, bool) {
 	return cm.e.DequeueNext()
 }
 
 // DequeueNextBatch serves up to max packets chosen by the configured
 // egress discipline, rotating the starting shard per call. Buffers are
-// pooled; Release each packet's Data when done.
+// pooled; ReleaseBuffer each packet's Data when done.
 func (cm *ConcurrentQueueManager) DequeueNextBatch(max int) []DequeuedPacket {
 	return cm.e.DequeueNextBatch(max)
 }

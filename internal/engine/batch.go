@@ -2,8 +2,6 @@ package engine
 
 import (
 	"errors"
-
-	"npqm/internal/queue"
 )
 
 // This file implements the batched command path. A network processor never
@@ -11,10 +9,10 @@ import (
 // receive ring and issues the whole burst at once. Batching matters to the
 // sharded engine for the same reason hardware pipelining matters to the
 // MMS — the fixed per-command overhead is paid once per shard per burst
-// instead of once per packet. On the synchronous datapath that overhead is
-// a mutex acquisition; on the ring datapath it is one posted command and
-// one shared completion countdown per shard touched, so a 64-packet burst
-// costs the producer a handful of ring slots and a single wakeup.
+// instead of once per packet: one command per shard touched, executed
+// under one mutex acquisition on the synchronous datapath, or posted under
+// one shared completion on the ring datapath, so a 64-packet burst costs
+// the producer a handful of ring slots and a single wakeup.
 
 // EnqueueReq is one packet of an EnqueueBatch.
 type EnqueueReq struct {
@@ -22,47 +20,18 @@ type EnqueueReq struct {
 	Data []byte
 }
 
-// errRingRetry marks a batch slot the worker deliberately left unprocessed
+// errBatchRetry marks a batch slot its shard deliberately left unprocessed
 // (a stop-the-bucket condition was hit earlier in the same bucket); the
-// poster replays those slots in order through the per-packet path. Never
+// caller replays those slots in order through the per-packet path. Never
 // escapes to callers.
-var errRingRetry = errors.New("engine: batch slot deferred to per-packet path")
+var errBatchRetry = errors.New("engine: batch slot deferred to per-packet path")
 
-// buckets groups batch indices by owning shard so each shard is entered
-// once. The bucket slices — and the error scratch batch walks record
-// outcomes in — are recycled between calls through a pool.
-type buckets struct {
-	byShard [][]int32
-	errs    []error // all-nil between uses; handed to the caller on failure
-}
-
-func (e *Engine) getBuckets() *buckets {
-	if v := e.bucketPool.Get(); v != nil {
-		b := v.(*buckets)
-		if len(b.byShard) == len(e.shards) {
-			return b
-		}
-	}
-	return &buckets{byShard: make([][]int32, len(e.shards))}
-}
-
-func (e *Engine) putBuckets(b *buckets) {
-	for i := range b.byShard {
-		b.byShard[i] = b.byShard[i][:0]
-	}
-	e.bucketPool.Put(b)
-}
-
-// errSlots returns the recycled error scratch, grown to n all-nil slots.
-// The scratch stays pooled only while it holds no errors: a batch that
-// fails hands the slice to its caller (see EnqueueBatch), so pooled
-// scratches are all-nil by construction — error slots are never scrubbed on
-// the happy path.
-func (b *buckets) errSlots(n int) []error {
-	if cap(b.errs) < n {
-		b.errs = make([]error, n)
-	}
-	return b.errs[:n]
+// add files request i under its flow's shard, so each shard is entered
+// once per batch.
+func (f *fanout) add(e *Engine, flow uint32, i int) {
+	p := &f.parts[e.ShardOf(flow)]
+	p.idxs = append(p.idxs, int32(i))
+	p.want++
 }
 
 // EnqueueBatch enqueues every request in batch, bucketing by shard and
@@ -76,256 +45,77 @@ func (b *buckets) errSlots(n int) []error {
 // pooled scratch that is recycled when it comes back clean and handed to
 // the caller (replaced lazily) when it does not.
 //
-// When an LQD arrival needs push-out eviction the batch degrades to the
-// per-packet path for the rest of that shard's bucket: eviction must run
-// outside the shard's critical section (the victim may live on another
-// shard), and processing later same-flow packets inline would break
-// per-flow FIFO.
+// When an LQD arrival needs push-out eviction (or the pool's free segments
+// are stranded in other shards' caches) the rest of that shard's bucket
+// degrades to the per-packet path: eviction must run outside the shard's
+// critical section (the victim may live on another shard), and processing
+// later same-flow packets inline would break per-flow FIFO.
 func (e *Engine) EnqueueBatch(batch []EnqueueReq) (segments int, errs []error) {
 	if len(batch) == 0 {
 		return 0, nil
 	}
-	if e.mode.Load() == modeClosed {
-		errs = make([]error, len(batch))
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return 0, errs
+	f := e.getFanout()
+	if cap(f.errBufs) < len(batch) {
+		f.errBufs = make([]error, len(batch))
 	}
-	b := e.getBuckets()
-	errs = b.errSlots(len(batch))
-	for i, req := range batch {
-		si := e.ShardOf(req.Flow)
-		b.byShard[si] = append(b.byShard[si], int32(i))
+	errs = f.errBufs[:len(batch)]
+	f.reqs, f.errs = batch, errs
+	for i := range batch {
+		f.add(e, batch[i].Flow, i)
 	}
-	if e.mode.Load() == modeRing {
-		segments = e.enqueueBatchRing(batch, errs, b)
-	} else {
-		segments = e.enqueueBatchSync(batch, errs, b)
+	e.fanOut(f, &command{kind: opEnqueue})
+	failed := false
+	for i := range f.parts {
+		segments += f.parts[i].segs
 	}
-	for _, err := range errs {
-		if err != nil {
-			// The scratch escapes to the caller; drop it from the pool so
-			// the recycled scratch invariant (all slots nil) holds.
-			b.errs = nil
-			e.putBuckets(b)
-			return segments, errs
-		}
-	}
-	e.putBuckets(b)
-	return segments, nil
-}
-
-// enqueueBatchSync is the mutex-datapath bucket walk.
-func (e *Engine) enqueueBatchSync(batch []EnqueueReq, errs []error, b *buckets) (segments int) {
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		slow := 0 // count of leading indices handled inside the bucket
-		if e.lockSync(s) {
-			for _, i := range idxs {
-				n, err := s.enqueueLocked(batch[i].Flow, batch[i].Data)
-				if err == errWantPushOut || //nolint:errorlint // internal sentinel, never wrapped
-					(err != nil && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() > 0) {
-					// Push-out eviction or a stranded-cache flush must run
-					// outside the critical section; hand the rest of the
-					// bucket to the per-packet path.
-					break
-				}
-				slow++
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				segments += n
-			}
-			s.mu.Unlock()
-		}
-		// Everything the bucket walk did not finish — including the whole
-		// bucket when the datapath switched under us — replays in order
-		// through the per-packet path, which resolves the current mode.
-		for _, i := range idxs[slow:] {
-			n, err := e.EnqueuePacket(batch[i].Flow, batch[i].Data)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			segments += n
-		}
-	}
-	return segments
-}
-
-// enqueueBatchRing posts one command per touched shard, all sharing one
-// completion: the worker walks its bucket run-to-completion and the caller
-// wakes once. Slots a worker could not finish inline (push-out eviction or
-// a stranded pool) come back marked errRingRetry and replay in order
-// through the per-packet path.
-func (e *Engine) enqueueBatchRing(batch []EnqueueReq, errs []error, b *buckets) (segments int) {
-	c := e.getCall()
-	var want int32
-	for _, idxs := range b.byShard {
-		if len(idxs) > 0 {
-			want++
-		}
-	}
-	c.pending.Store(want + 1)
-	posted := int32(0)
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		idxs := idxs
-		cmd := command{kind: opCall, co: c, fn: func() {
-			for k, i := range idxs {
-				n, err := s.enqueueLocked(batch[i].Flow, batch[i].Data)
-				if err == errWantPushOut || //nolint:errorlint // internal sentinel, never wrapped
-					(err != nil && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() > 0) {
-					for _, j := range idxs[k:] {
-						errs[j] = errRingRetry
-					}
-					return
-				}
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				c.segs.Add(int64(n))
-			}
-		}}
-		if e.post(s, cmd) != nil {
-			for _, i := range idxs {
-				errs[i] = ErrClosed
-			}
-			continue
-		}
-		posted++
-	}
-	c.release(want - posted + 1)
-	segments = int(c.segs.Load())
-	e.putCall(c)
-	// Replay the deferred slots in order; EnqueuePacket runs the eviction
-	// or flush orchestration and re-resolves the datapath mode.
-	for i := range errs {
-		if errs[i] == errRingRetry { //nolint:errorlint // internal sentinel, never wrapped
-			n, err := e.EnqueuePacket(batch[i].Flow, batch[i].Data)
+	for i, err := range errs {
+		if err == errBatchRetry { //nolint:errorlint // internal sentinel, never wrapped
+			// EnqueuePacket runs the eviction or flush orchestration.
+			var n int
+			n, err = e.EnqueuePacket(batch[i].Flow, batch[i].Data)
 			errs[i] = err
 			if err == nil {
 				segments += n
 			}
 		}
+		failed = failed || err != nil
 	}
-	return segments
+	if failed {
+		// The scratch escapes to the caller; drop it from the pool so the
+		// recycled scratch invariant (all slots nil) holds.
+		f.errBufs = nil
+	} else {
+		errs = nil
+	}
+	e.putFanout(f)
+	return segments, errs
 }
 
 // DequeueBatch dequeues the head packet of every listed flow, bucketing by
-// shard. Results are aligned with flows: pkts[i] is the reassembled payload
-// (from the engine's buffer pool — Release it when done) and errs[i] is nil
-// on success. A flow listed twice yields its first two packets in order.
+// shard. Results are aligned with flows: pkts[i] is the reassembled
+// payload (from the engine's buffer pool — ReleaseBuffer it when done) and
+// errs[i] is nil on success. A flow listed twice yields its first two
+// packets in order.
 func (e *Engine) DequeueBatch(flows []uint32) (pkts [][]byte, errs []error) {
 	if len(flows) == 0 {
 		return nil, nil
 	}
 	pkts = make([][]byte, len(flows))
-	errs = make([]error, len(flows))
-	if e.mode.Load() == modeClosed {
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return pkts, errs
-	}
-	b := e.getBuckets()
-	for i, flow := range flows {
-		si := e.ShardOf(flow)
-		b.byShard[si] = append(b.byShard[si], int32(i))
-	}
-	if e.mode.Load() == modeRing {
-		e.dequeueBatchRing(flows, pkts, errs, b)
-	} else {
-		e.dequeueBatchSync(flows, pkts, errs, b)
-	}
-	e.putBuckets(b)
+	errs = e.dequeueBatch(flows, pkts, nil)
 	return pkts, errs
 }
 
-// dequeueBatchSync is the mutex-datapath bucket walk.
-func (e *Engine) dequeueBatchSync(flows []uint32, pkts [][]byte, errs []error, b *buckets) {
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		if !e.lockSync(s) {
-			// Datapath switched under us: replay this bucket per-packet.
-			for _, i := range idxs {
-				data, err := e.DequeuePacket(flows[i])
-				pkts[i], errs[i] = data, err
-			}
-			continue
-		}
-		for _, i := range idxs {
-			buf := e.getBuf()
-			out, n, err := s.m.DequeuePacketAppend(queue.QueueID(flows[i]), buf)
-			s.noteDequeue(n, err)
-			if err != nil {
-				e.putBuf(buf)
-				errs[i] = err
-				continue
-			}
-			s.noteCopied(len(out))
-			s.syncActive(flows[i])
-			s.noteRemoveRes(flows[i], true)
-			pkts[i] = out
-		}
-		s.mu.Unlock()
+// dequeueBatch is the shared body of DequeueBatch and DequeueViewBatch:
+// one opDequeue command per touched shard, filling pkts (copy delivery)
+// or views (view delivery) and the returned errs in place.
+func (e *Engine) dequeueBatch(flows []uint32, pkts [][]byte, views []PacketView) []error {
+	errs := make([]error, len(flows))
+	f := e.getFanout()
+	f.flows, f.pkts, f.views, f.errs = flows, pkts, views, errs
+	for i, flow := range flows {
+		f.add(e, flow, i)
 	}
-}
-
-// dequeueBatchRing posts one command per touched shard under a shared
-// completion; each worker fills its bucket's result slots directly.
-func (e *Engine) dequeueBatchRing(flows []uint32, pkts [][]byte, errs []error, b *buckets) {
-	c := e.getCall()
-	var want int32
-	for _, idxs := range b.byShard {
-		if len(idxs) > 0 {
-			want++
-		}
-	}
-	c.pending.Store(want + 1)
-	posted := int32(0)
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		idxs := idxs
-		cmd := command{kind: opCall, co: c, fn: func() {
-			for _, i := range idxs {
-				buf := e.getBuf()
-				out, n, err := s.m.DequeuePacketAppend(queue.QueueID(flows[i]), buf)
-				s.noteDequeue(n, err)
-				if err != nil {
-					e.putBuf(buf)
-					errs[i] = err
-					continue
-				}
-				s.noteCopied(len(out))
-				s.syncActive(flows[i])
-				s.noteRemoveRes(flows[i], true)
-				pkts[i] = out
-			}
-		}}
-		if e.post(s, cmd) != nil {
-			for _, i := range idxs {
-				errs[i] = ErrClosed
-			}
-			continue
-		}
-		posted++
-	}
-	c.release(want - posted + 1)
-	e.putCall(c)
+	e.fanOut(f, &command{kind: opDequeue, view: views != nil})
+	e.putFanout(f)
+	return errs
 }

@@ -29,16 +29,18 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"npqm/internal/policy"
 	"npqm/internal/queue"
 	"npqm/internal/sched"
 )
 
-// On the ring datapath the egress pick itself runs inside the shard's
-// worker: DequeueNext, DequeueNextBatch and the pacers post a
-// pick-and-dequeue command per shard (see ring.go), so the discipline
-// state is only ever touched by the single writer.
+// The egress pick itself runs inside the shard's critical section:
+// DequeueNext, DequeueNextBatch and the pacers send a pick-and-dequeue
+// command (opDequeueNext) per shard through the executor (see ring.go),
+// so on the ring datapath the discipline state is only ever touched by
+// the single writer.
 
 // anyPort is the pick-target meaning "serve whichever port has traffic"
 // — the legacy pull API (DequeueNext[Batch]) serves all ports, rotating.
@@ -63,9 +65,9 @@ func tierName(tier int) string {
 
 // Dequeued is one packet returned by the egress paths: the flow it was
 // queued on, its reassembled payload (from the engine's buffer pool —
-// Release it when done; empty when data storage is off), and its payload
-// byte count (derived from the segment count when data storage is off,
-// so shapers can charge transmissions either way).
+// ReleaseBuffer it when done; empty when data storage is off), and its
+// payload byte count (derived from the segment count when data storage is
+// off, so shapers can charge transmissions either way).
 type Dequeued struct {
 	Flow  uint32
 	Data  []byte
@@ -525,91 +527,133 @@ func (e *Engine) FlowTenant(flow uint32) (int, error) {
 
 // DequeueNext serves one packet chosen by the egress discipline,
 // whichever port it belongs to. ok is false when the engine holds no
-// packets. Release the data when done. On the synchronous datapath it
-// allocates nothing beyond the pooled payload buffer, so per-packet
+// packets. ReleaseBuffer the data when done. On the synchronous datapath
+// it allocates nothing beyond the pooled payload buffer, so per-packet
 // drain loops stay allocation-free.
 func (e *Engine) DequeueNext() (Dequeued, bool) {
+	var r result
+	if !e.dequeueNextOne(e.nextStart(), anyPort, false, &r) {
+		return Dequeued{}, false
+	}
+	return Dequeued{Flow: r.flow, Data: r.data, Bytes: r.n}, true
+}
+
+// dequeueNextOne serves one packet picked on port (anyPort = all) into r,
+// trying the shards in turn from start. It reports false when no shard
+// had a packet (or the engine is closed).
+func (e *Engine) dequeueNextOne(start, port int, view bool, r *result) bool {
 	n := len(e.shards)
-	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
+	c := command{kind: opDequeueNext, view: view, port: int32(port)}
 	for i := 0; i < n; i++ {
-		s := e.shards[(start+i)%n]
-		for {
-			switch e.mode.Load() {
-			case modeClosed:
-				return Dequeued{}, false
-			case modeRing:
-				if out := e.dequeueNextRing(s, anyPort, nil, 1); len(out) == 1 {
-					return out[0], true
-				}
-			default:
-				if !e.lockSync(s) {
-					continue
-				}
-				d, ok := e.dequeuePicked(s, anyPort)
-				s.mu.Unlock()
-				if ok {
-					return d, true
-				}
-			}
-			break
+		if !e.do(e.shards[(start+i)&(n-1)], &c, r) {
+			return false
+		}
+		if r.err == nil {
+			return true
 		}
 	}
-	return Dequeued{}, false
+	return false
+}
+
+// nextStart rotates the shard the pull egress calls start on, so shards
+// share the egress bandwidth. The shard count is a power of two; masking
+// before the int conversion keeps the uint32 cursor wrapping past 2^31
+// from going negative on 32-bit platforms.
+func (e *Engine) nextStart() int {
+	return int((e.egCursor.Add(1) - 1) & uint32(len(e.shards)-1))
 }
 
 // DequeueNextBatch serves up to max packets, choosing flows by the
 // configured egress discipline across all ports. The starting shard
 // rotates per call so shards share the egress bandwidth; within a shard,
 // units and flows are picked by the level-stack discipline against the
-// active lists. Buffers come from the engine pool — Release each
+// active lists. Buffers come from the engine pool — ReleaseBuffer each
 // packet's Data when done.
 func (e *Engine) DequeueNextBatch(max int) []Dequeued {
 	if max <= 0 {
 		return nil
 	}
+	f := e.getFanout()
+	e.dequeueNext(f, e.nextStart(), anyPort, max, false)
+	out := f.appendDequeued(nil)
+	e.putFanout(f)
+	return out
+}
+
+// dequeueNext picks up to max packets on port (anyPort = all) into the
+// parts of f, for the caller to collect, visiting shards in rotation from
+// start. The budget is split across the shards (the first max%n in
+// rotation take one extra) and runs as one fan-out; drainNext then tops
+// up the shards that filled their split — they may hold more — and the
+// shards the split gave nothing (with max < shards, the whole backlog may
+// live on one of them), so a backlog concentrated on one shard still
+// drains at full batch size.
+func (e *Engine) dequeueNext(f *fanout, start, port, max int, view bool) {
 	n := len(e.shards)
-	// n is a power of two; mask before the int conversion so the uint32
-	// cursor wrapping past 2^31 cannot go negative on 32-bit platforms.
-	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
-	if e.mode.Load() == modeRing {
-		// One fan-out command per shard under a single completion; see
-		// dequeueNextRingAll.
-		return e.dequeueNextRingAll(start, max)
+	for i := 0; i < n; i++ {
+		p := &f.parts[(start+i)&(n-1)]
+		p.want = max / n
+		if i < max%n {
+			p.want++
+		}
 	}
-	var out []Dequeued
-	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShard(e.shards[(start+i)%n], anyPort, out, max)
+	e.fanOut(f, &command{kind: opDequeueNext, view: view, port: int32(port)})
+	e.drainNext(f, start, port, max, view)
+}
+
+// drainNext is the serial pass over the shards in rotation from start:
+// every shard whose part was not given a budget, or filled it, is asked
+// for what is left of max (none, once the engine is closed). On its own —
+// a pacer serving one port's burst — it drains shard after shard.
+func (e *Engine) drainNext(f *fanout, start, port, max int, view bool) {
+	n, got := len(e.shards), 0
+	for i := range f.parts {
+		got += f.parts[i].served(view)
+	}
+	f.start = start
+	c := command{kind: opDequeueNext, view: view, port: int32(port), f: f}
+	for i := 0; i < n && got < max; i++ {
+		si := (start + i) & (n - 1)
+		p := &f.parts[si]
+		if had := p.served(view); p.want == 0 || had == p.want {
+			c.slot, c.arg = int32(si), max-got
+			if !e.do(e.shards[si], &c, &f.r) {
+				break
+			}
+			got += p.served(view) - had
+		}
+	}
+}
+
+// appendDequeued appends f's copy-delivered packets to out, shard by
+// shard in rotation order, growing out at most once.
+func (f *fanout) appendDequeued(out []Dequeued) []Dequeued {
+	n, total := len(f.parts), 0
+	for i := range f.parts {
+		total += len(f.parts[i].deq)
+	}
+	if total > 0 {
+		out = slices.Grow(out, total)
+		for i := 0; i < n; i++ {
+			out = append(out, f.parts[(f.start+i)&(n-1)].deq...)
+		}
 	}
 	return out
 }
 
-// drainShard serves discipline-picked packets from one shard on one port
-// (anyPort = all) until out reaches max or the shard has nothing
-// servable, resolving the current datapath mode per attempt. Shared by
-// the pull API (DequeueNextBatch) and the pacers (dequeuePort) so the
-// mode-switch handling cannot diverge between them.
-func (e *Engine) drainShard(s *shard, port int, out []Dequeued, max int) []Dequeued {
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return out
-		case modeRing:
-			return e.dequeueNextRing(s, port, out, max-len(out))
-		default:
-			if !e.lockSync(s) {
-				continue // datapath switched under us: re-resolve the mode
-			}
-			for len(out) < max {
-				d, ok := e.dequeuePicked(s, port)
-				if !ok {
-					break
-				}
-				out = append(out, d)
-			}
-			s.mu.Unlock()
-			return out
+// appendViews is appendDequeued for view-delivered packets.
+func (f *fanout) appendViews(out []DequeuedView) []DequeuedView {
+	n, total := len(f.parts), 0
+	for i := range f.parts {
+		total += len(f.parts[i].deqv)
+	}
+	if total > 0 {
+		out = slices.Grow(out, total)
+		for i := 0; i < n; i++ {
+			out = append(out, f.parts[(f.start+i)&(n-1)].deqv...)
 		}
 	}
+	return out
 }
 
 // chargeLevels debits the bytes actually served on flow against every
@@ -624,32 +668,26 @@ func (s *shard) chargeLevels(flow uint32, bytes int) {
 }
 
 // dequeuePicked serves one packet picked by the level-stack discipline
-// from shard s, inside s's critical section (mutex or worker). port
-// selects the scheduling unit (anyPort rotates over all of them). ok is
-// false when the shard has nothing servable on that port.
-func (e *Engine) dequeuePicked(s *shard, port int) (Dequeued, bool) {
+// from shard s into r, inside s's critical section (mutex or worker),
+// copied or as a view. port selects the scheduling unit (anyPort rotates
+// over all of them). It reports false, with r.err set to
+// queue.ErrQueueEmpty, when the shard has nothing servable on that port.
+func (e *Engine) dequeuePicked(s *shard, port int, view bool, r *result) bool {
 	for {
 		flow, debit, ok := s.pickLocked(port)
 		if !ok {
-			return Dequeued{}, false
+			r.err = queue.ErrQueueEmpty
+			return false
 		}
-		buf := e.getBuf()
-		data, segs, err := s.m.DequeuePacketAppend(queue.QueueID(flow), buf)
-		s.noteDequeue(segs, err)
-		if err != nil {
+		e.take(s, flow, view, r)
+		if r.err != nil {
 			// The list said active but no complete packet is available
 			// (raw-segment misuse): deactivate the flow so the pick loop
 			// cannot spin on it. The DRR debit is not charged — nothing
 			// was served — and any banked deficit is forfeited by
 			// clearActive.
-			e.putBuf(buf)
 			s.clearActive(flow)
 			continue
-		}
-		s.noteCopied(len(data))
-		bytes := len(data)
-		if !e.cfg.StoreData {
-			bytes = segs * queue.SegmentBytes
 		}
 		if debit != 0 {
 			// Flow-level DRR: charge the served packet against the flow's
@@ -662,11 +700,14 @@ func (e *Engine) dequeuePicked(s *shard, port int) (Dequeued, bool) {
 			s.SetDeficit(int32(flow), s.Deficit(int32(flow))-debit)
 		}
 		if s.eg.hasLevelDRR {
-			s.chargeLevels(flow, bytes)
+			// Actual bytes (exact from the queue accounting on the view
+			// path), so level conservation stays exact.
+			s.chargeLevels(flow, r.n)
 		}
 		s.syncActive(flow)
 		s.noteRemoveRes(flow, true)
-		return Dequeued{Flow: flow, Data: data, Bytes: bytes}, true
+		r.flow = flow
+		return true
 	}
 }
 

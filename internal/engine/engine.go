@@ -11,18 +11,20 @@
 // FIFO order is preserved because a flow always maps to the same shard and
 // each shard is internally sequential.
 //
-// Two datapaths realize that sequencing:
+// Every shard operation is written once, as a command executed inside
+// the owning shard's critical section, and reaches the shard through one
+// executor (see ring.go). Two datapaths realize that sequencing:
 //
-//   - Synchronous (the default): every call locks the owning shard's mutex,
-//     operates, and unlocks. Simple, lowest latency when producers are few.
+//   - Synchronous (the default): the executor runs the command under the
+//     owning shard's mutex. Simple, lowest latency when producers are few.
 //   - Ring (after Start): the paper's own structure. Producers never touch
-//     shard state — they post commands into a bounded MPSC ring per shard,
-//     exactly as the paper's processing elements post into the MMS command
-//     FIFOs, and a per-shard worker goroutine drains its ring in batches,
-//     run to completion. The worker is the single writer, so the hot path
-//     takes no mutex at all; calls that need results block on per-producer
-//     completion batches, while EnqueueAsync is fire-and-forget with
-//     outcomes reported through Stats counters. See ring.go.
+//     shard state — they post the same commands into a bounded MPSC ring
+//     per shard, exactly as the paper's processing elements post into the
+//     MMS command FIFOs, and a per-shard worker goroutine drains its ring
+//     in batches, run to completion. The worker is the single writer, so
+//     execution takes no mutex; calls that need results wait on pooled
+//     completions, while EnqueueAsync is fire-and-forget with outcomes
+//     reported through Stats counters.
 //
 // Segment memory, in both datapaths, is not partitioned — exactly as in the
 // paper, where all per-flow queues allocate 64-byte segments from one data
@@ -38,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +85,7 @@ const maxEvictAttempts = 8
 
 // maxPooledBufBytes caps the capacity of reassembly buffers kept in the
 // engine's pool. A buffer that grew past this (one giant reassembled
-// packet) is dropped on Release instead of pinning its memory forever.
+// packet) is dropped on ReleaseBuffer instead of pinning its memory forever.
 const maxPooledBufBytes = 64 * queue.SegmentBytes
 
 // Datapath modes. The engine starts synchronous, may switch to the ring
@@ -270,11 +271,11 @@ type Engine struct {
 
 	egCursor atomic.Uint32 // rotating start shard for DequeueNextBatch
 
-	bufs       sync.Pool // reassembly buffers in *bufBox wrappers, see Release
-	boxes      sync.Pool // empty *bufBox wrappers awaiting a buffer
-	bucketPool sync.Pool // per-shard index buckets for the batch paths
-	callPool   sync.Pool // pooled completions for the ring datapath
-	histPool   sync.Pool // residence merge targets for Stats snapshots
+	bufs     sync.Pool // reassembly buffers in *bufBox wrappers, see putBuf
+	boxes    sync.Pool // empty *bufBox wrappers awaiting a buffer
+	fanPool  sync.Pool // per-shard scratch of the fan-out calls
+	callPool sync.Pool // completions of single-shard ring commands
+	histPool sync.Pool // residence merge targets for Stats snapshots
 }
 
 // bufBox carries a reassembly buffer through the pool. Pooling the raw
@@ -423,49 +424,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// lockSync acquires s.mu for a synchronous-datapath critical section. It
-// returns false — with the mutex released — when the engine is no longer on
-// the synchronous datapath: after Start's barrier the ring workers own the
-// shards, so the caller must retry its operation through the current mode.
-func (e *Engine) lockSync(s *shard) bool {
-	s.mu.Lock()
-	if e.mode.Load() != modeSync {
-		s.mu.Unlock()
-		return false
-	}
-	return true
-}
-
-// run executes fn inside shard s's critical section, in whatever way the
-// current datapath makes safe: under the shard mutex on the synchronous
-// datapath, as a command executed by the shard's worker on the ring
-// datapath, and under the (now uncontended) mutex after Close. It is the
-// single implementation used by every control-plane and slow-path
-// operation; fn captures its own results. fn always runs exactly once.
-func (e *Engine) run(s *shard, fn func()) {
-	for {
-		m := e.mode.Load()
-		if m == modeRing {
-			if e.postFnWait(s, fn) {
-				return
-			}
-			// The ring closed under us. The mode flips to modeClosed only
-			// after every worker has exited (see Close), so yield until the
-			// flip and then take the now-safe mutex path.
-			runtime.Gosched()
-			continue
-		}
-		s.mu.Lock()
-		if e.mode.Load() != m {
-			s.mu.Unlock()
-			continue
-		}
-		fn()
-		s.mu.Unlock()
-		return
-	}
-}
-
 // SetAdmission replaces the admission policy on every shard. Each shard
 // gets a private instance (RED seeds are derived per shard) swapped in
 // inside the shard's critical section, so reconfiguration is safe while
@@ -528,25 +486,26 @@ func (e *Engine) shardOf(flow uint32) *shard {
 // On the ring datapath the call blocks until the shard's worker has
 // executed the command (use EnqueueAsync to fire and forget).
 func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
-	s := e.shardOf(flow)
 	need := (len(data) + queue.SegmentBytes - 1) / queue.SegmentBytes
+	var r result
+	err := e.ingest(e.shardOf(flow), &command{kind: opEnqueue, flow: flow, data: data}, need, &r)
+	return r.n, err
+}
+
+// ingest runs an arrival of need segments (opEnqueue or opReserve) into
+// r and settles what its shard could not: an LQD push-out verdict is
+// resolved by evicting globally from this goroutine and retrying, and a
+// pool whose free segments are stranded in other shards' caches is
+// flushed and retried.
+func (e *Engine) ingest(s *shard, c *command, need int, r *result) error {
 	for attempt := 0; ; attempt++ {
-		var n int
-		var err error
-		switch e.mode.Load() {
-		case modeClosed:
-			return 0, ErrClosed
-		case modeRing:
-			n, err = e.enqueueRingWait(s, flow, data)
-		default:
-			if !e.lockSync(s) {
-				continue
-			}
-			n, err = s.enqueueLocked(flow, data)
-			s.mu.Unlock()
+		if !e.do(s, c, r) {
+			return ErrClosed
 		}
 		switch {
-		case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
+		case r.err == nil:
+			return nil
+		case r.err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
 			if attempt >= maxEvictAttempts || !e.evictForSpace(need) {
 				// Nothing left to evict (or the freed space kept being
 				// stolen): the arrival is dropped after all.
@@ -554,9 +513,9 @@ func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
 					s.dropPackets++
 					s.dropSegments += uint64(need)
 				})
-				return 0, ErrAdmissionDrop
+				return ErrAdmissionDrop
 			}
-		case attempt < maxEvictAttempts && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() >= need:
+		case attempt < maxEvictAttempts && errors.Is(r.err, queue.ErrNoFreeSegments) && e.store.Free() >= need:
 			// The pool holds enough free segments, but they are stranded in
 			// other shards' magazine caches. Flush every cache to the depot
 			// and retry (bounded — concurrent shards can re-strand frees
@@ -564,7 +523,7 @@ func (e *Engine) EnqueuePacket(flow uint32, data []byte) (int, error) {
 			// Rejected.
 			e.flushCaches()
 		default:
-			return n, err
+			return r.err
 		}
 	}
 }
@@ -742,35 +701,54 @@ func (e *Engine) longestShard() *shard {
 }
 
 // DequeuePacket removes and reassembles the head packet of flow. The
-// returned buffer comes from an internal pool; pass it to Release when done
-// to recycle it (keeping it, or not releasing, is safe but allocates more).
+// returned buffer comes from an internal pool; pass it to ReleaseBuffer
+// when done to recycle it (keeping it, or not releasing, is safe but
+// allocates more).
 func (e *Engine) DequeuePacket(flow uint32) ([]byte, error) {
-	s := e.shardOf(flow)
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return nil, ErrClosed
-		case modeRing:
-			return e.dequeueRingWait(s, flow)
-		}
-		if !e.lockSync(s) {
-			continue
-		}
-		buf := e.getBuf()
-		out, n, err := s.m.DequeuePacketAppend(queue.QueueID(flow), buf)
-		s.noteDequeue(n, err)
-		if err == nil {
-			s.noteCopied(len(out))
-			s.syncActive(flow)
-			s.noteRemoveRes(flow, true)
-		}
-		s.mu.Unlock()
-		if err != nil {
-			e.putBuf(buf)
-			return nil, err
-		}
-		return out, nil
+	var r result
+	if !e.do(e.shardOf(flow), &command{kind: opDequeue, flow: flow}, &r) {
+		return nil, ErrClosed
 	}
+	return r.data, r.err
+}
+
+// dequeueLocked removes flow's head packet into r inside s's critical
+// section and settles its active-list membership and residence sample —
+// the body of every per-flow dequeue, copied or as a view.
+func (e *Engine) dequeueLocked(s *shard, flow uint32, view bool, r *result) {
+	e.take(s, flow, view, r)
+	if r.err == nil {
+		s.syncActive(flow)
+		s.noteRemoveRes(flow, true)
+	}
+}
+
+// take removes flow's head packet into r inside s's critical section —
+// lent as a zero-copy view (r.view), or reassembled into a pooled buffer
+// (r.data) — and counts it. r.n is the payload byte count: exact from the
+// queue accounting for a view, derived from the segment count for a copy
+// when data storage is off. The caller settles the flow's active-list
+// membership afterwards, once any scheduler charge has landed.
+func (e *Engine) take(s *shard, flow uint32, view bool, r *result) {
+	var segs int
+	if view {
+		r.view, r.err = s.m.DequeuePacketView(queue.QueueID(flow))
+		segs, r.n = r.view.Segments(), r.view.Len()
+	} else {
+		buf := e.getBuf()
+		r.data, segs, r.err = s.m.DequeuePacketAppend(queue.QueueID(flow), buf)
+		if r.err != nil {
+			e.putBuf(buf)
+			r.data = nil
+		} else {
+			s.noteCopied(len(r.data))
+			r.n = len(r.data)
+			if !s.storeData {
+				r.n = segs * queue.SegmentBytes
+			}
+		}
+	}
+	s.noteDequeue(segs, r.err)
 }
 
 // ReleaseBuffer returns a reassembly buffer obtained from DequeuePacket,
@@ -778,14 +756,6 @@ func (e *Engine) DequeuePacket(flow uint32) ([]byte, error) {
 // caller must not use buf afterwards. Packet views have their own release
 // surface (PacketView.Release), which returns segments rather than buffers.
 func (e *Engine) ReleaseBuffer(buf []byte) { e.putBuf(buf) }
-
-// Release returns a reassembly buffer to the engine's pool.
-//
-// Deprecated: use ReleaseBuffer. "Release" now names two different
-// operations — recycling a copied buffer versus returning a zero-copy
-// view's segment chain (PacketView.Release) — and this alias keeps old
-// callers building while the names disambiguate.
-func (e *Engine) Release(buf []byte) { e.putBuf(buf) }
 
 // getBuf takes a reassembly buffer from the pool; the emptied wrapper goes
 // back to the box pool for the next putBuf.

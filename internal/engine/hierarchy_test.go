@@ -8,7 +8,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -575,7 +574,10 @@ func TestPacerOneGoroutinePerShard(t *testing.T) {
 		usedFlw = 4096
 	)
 	e, err := New(Config{
-		Shards: shards, NumFlows: flows, NumSegments: 1 << 14, StoreData: true,
+		// The pool holds the whole offered load (4096 flows × 4 packets ×
+		// 2 segments = 32K segments) with room for the magazine caches, so
+		// every port's backlog is in place before service starts.
+		Shards: shards, NumFlows: flows, NumSegments: 1 << 16, StoreData: true,
 		NumPorts: ports,
 		// Every port shaped: 64 KB/s with a small burst, so a 2KB port
 		// load outruns burst + one tick's credit and the wheel actually
@@ -598,6 +600,19 @@ func TestPacerOneGoroutinePerShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Build every port's whole backlog before service starts (4 flows × 4
+	// × 128B = 2KB against a 1KB bucket), so each port outruns its burst
+	// and the wheel must park it however fast or slow the host enqueues.
+	var want int64
+	pkt := make([]byte, 128)
+	for i := 0; i < 4; i++ {
+		for f := uint32(0); f < usedFlw; f++ {
+			if _, err := e.EnqueuePacket(f, pkt); err != nil {
+				t.Fatal(err)
+			}
+			want++
+		}
+	}
 	before := runtime.NumGoroutine()
 	var delivered atomic.Int64
 	sink := SinkFunc(func(d Dequeued) error {
@@ -613,26 +628,6 @@ func TestPacerOneGoroutinePerShard(t *testing.T) {
 	during := runtime.NumGoroutine()
 	if got := during - before; got > shards {
 		t.Fatalf("serving %d ports started %d goroutines, want at most %d (one pacer per shard)", ports, got, shards)
-	}
-	// Feed every port past its burst (4 flows × 4 × 128B = 2KB against a
-	// 1KB bucket) so the wheel actually parks ports; the enqueue loop
-	// rides the pool as the pacers drain it.
-	var want int64
-	pkt := make([]byte, 128)
-	for i := 0; i < 4; i++ {
-		for f := uint32(0); f < usedFlw; f++ {
-			for {
-				_, err := e.EnqueuePacket(f, pkt)
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, queue.ErrNoFreeSegments) {
-					t.Fatal(err)
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-			want++
-		}
 	}
 	waitUntil(t, 10*time.Second, "all packets delivered", func() bool {
 		return delivered.Load() == want

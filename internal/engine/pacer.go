@@ -13,9 +13,8 @@ package engine
 // A port's entire service — every shard's scheduling unit — runs on its
 // home pacer, so a Sink's Transmit is never concurrent with itself (the
 // contract the per-port workers provided). The pacer is not a ring
-// worker: it consumes the same drainShard path as the pull API, posting
-// commands on the ring datapath and locking shard mutexes on the
-// synchronous one.
+// worker: it consumes the same fan-out (dequeueNext) as the pull API,
+// which reaches each shard through the executor on either datapath.
 //
 // Wheel geometry: level 0 holds one slot per tick (1ms) for the next
 // 256ms; level 1 holds 256ms-wide slots for the next ~65s and cascades
@@ -102,11 +101,22 @@ type pacer struct {
 	pendBuf  []int32
 	out      []Dequeued
 	outv     []DequeuedView
+	fan      *fanout // dequeue scratch, built on first use (see scratch)
 	timer    *time.Timer
 }
 
 func newPacer(e *Engine, home int) *pacer {
 	return &pacer{e: e, home: home, wake: make(chan struct{}, 1)}
+}
+
+// scratch returns the pacer's own fan-out scratch: the serve loops pull a
+// packet at a time from shaped ports, and a private scratch keeps that
+// off the engine's pool.
+func (pc *pacer) scratch() *fanout {
+	if pc.fan == nil {
+		pc.fan = newFanout(len(pc.e.shards))
+	}
+	return pc.fan
 }
 
 // enqueue queues a port for the pacer's attention and wakes it. Called

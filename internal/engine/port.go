@@ -307,16 +307,25 @@ const unshapedBatch = 64
 
 // dequeuePort serves up to max packets from p's scheduling units,
 // rotating the starting shard per call, appending to out. It is
-// DequeueNextBatch with the pick restricted to one port, sharing the
-// same per-shard drain (drainShard) so the datapath handling cannot
-// diverge.
+// DequeueNext[Batch] with the pick restricted to one port, sharing the
+// same commands so the datapath handling cannot diverge. Only p's home
+// pacer calls it (shardCursor is pacer-local).
 func (e *Engine) dequeuePort(p *port, out []Dequeued, max int) []Dequeued {
-	n := len(e.shards)
 	p.shardCursor++
-	start := int(p.shardCursor) % n
-	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShard(e.shards[(start+i)%n], p.idx, out, max)
+	start := int(p.shardCursor) & (len(e.shards) - 1)
+	if max == 1 {
+		// A shaped port is served a packet at a time: single picks need
+		// no per-shard scratch.
+		var r result
+		if e.dequeueNextOne(start, p.idx, false, &r) {
+			out = append(out, Dequeued{Flow: r.flow, Data: r.data, Bytes: r.n})
+		}
+		return out
 	}
+	f := p.pc.scratch()
+	e.drainNext(f, start, p.idx, max, false)
+	out = f.appendDequeued(out)
+	f.reset()
 	return out
 }
 

@@ -1,31 +1,34 @@
 package engine
 
-// The asynchronous command-ring datapath. After Start, every shard owns a
-// bounded MPSC command ring (internal/ring) and a worker goroutine that
-// drains it in batches, run to completion — the software rendering of the
-// paper's DMC/command-FIFO structure: producers post commands, the queue
-// manager pipelines them, and nobody but the manager touches queue state.
-// The worker is the shard's single writer, so command execution takes no
-// mutex; producers pay one CAS per post, and a full ring applies
-// backpressure instead of growing without bound.
+// Shard operations and the executor that runs them. Every datapath
+// operation is one command kind whose body (exec) runs inside the owning
+// shard's critical section — the software rendering of the paper's MMS
+// command interface, where processing elements post commands into FIFOs
+// and one pipeline executes each kind. How a command reaches its shard is
+// the executor's business alone (do):
 //
-// Calls that need results (EnqueuePacket, DequeuePacket, the batch APIs,
-// DequeueNextBatch, all control-plane operations) block on completions: the
-// poster allocates a pooled completion, posts one or more commands carrying
-// it, and parks until the last worker decrements the countdown — one wakeup
-// per producer batch, not per command. EnqueueAsync posts with no
-// completion at all; its outcomes (admission drops, pool rejections) are
-// visible in Stats counters.
+//   - Synchronous datapath (the default): the command is built on the
+//     caller's stack and exec runs under the shard mutex.
+//   - Ring datapath (after Start): every shard owns a bounded MPSC command
+//     ring (internal/ring) drained in batches, run to completion, by a
+//     worker goroutine — the shard's single writer, so execution takes no
+//     mutex. The caller posts the same command with a pooled completion
+//     and parks until the worker has executed it; fan-out calls post one
+//     command per touched shard under one completion and wake once.
+//     EnqueueAsync posts with no completion at all; its outcomes
+//     (admission drops, pool rejections) are visible in Stats counters.
+//   - After Close: the workers have exited, so the command runs under the
+//     now-uncontended mutex — only control-plane and observation calls
+//     (opCall) still execute; datapath commands report ErrClosed.
 //
-// Cross-shard operations never run inside a worker, so workers cannot
-// deadlock on each other: the calling goroutine orchestrates them as a
-// sequence of single-shard commands (the LQD evict-and-retry loop, the
-// cross-shard MovePacket unlink/link/rollback) — exactly the discipline the
-// synchronous datapath already followed with its "shard locks never nest"
-// rule. The one concession is a fire-and-forget LQD enqueue: its worker
-// cannot block on other shards, so it evicts from its own shard's longest
-// queue when the pool is full, and drops (counted) when that cannot make
-// room.
+// Cross-shard operations never run inside a command, so shards are never
+// entered nested and workers cannot deadlock on each other: the calling
+// goroutine orchestrates them as a sequence of single-shard commands (the
+// LQD evict-and-retry loop, the cross-shard MovePacket
+// unlink/link/rollback). The one concession is a fire-and-forget LQD
+// enqueue: its worker cannot block on other shards, so it evicts from its
+// own shard's longest queue when the pool is full, and drops (counted)
+// when that cannot make room.
 
 import (
 	"errors"
@@ -44,60 +47,61 @@ const workerBatch = 256
 // cmdRing is the per-shard command ring instantiation.
 type cmdRing = ring.Ring[command]
 
-// opKind discriminates ring commands. The hot datapath kinds are
-// dedicated (no closure allocation); everything slow or control-plane
-// travels as an opCall closure.
+// opKind discriminates commands. The datapath kinds are dedicated (no
+// closure allocation); everything slow or control-plane travels as an
+// opCall closure.
 type opKind uint8
 
 const (
-	opEnqueue         opKind = iota // fire-and-forget enqueue
-	opEnqueueWait                   // enqueue with completion + result
-	opDequeueWait                   // dequeue with completion + result
-	opDequeueNext                   // egress-picked dequeue of up to arg packets
-	opDequeueViewWait               // zero-copy dequeue with completion + view result
-	opDequeueNextView               // egress-picked zero-copy dequeue of up to arg packets
-	opReserve                       // open an arg-byte write-in-place reservation
-	opCommit                        // splice a filled reservation onto its queue
-	opCall                          // run fn inside the shard's critical section
-	opBarrier                       // completion only: drain marker
+	opEnqueue     opKind = iota // copy-in enqueue; on the ring, a nil completion means fire-and-forget
+	opDequeue                   // per-flow dequeue, copied or as a view
+	opDequeueNext               // egress-picked dequeue of up to arg packets on port
+	opReserve                   // open an arg-byte write-in-place reservation
+	opCommit                    // splice a filled reservation onto its queue
+	opCall                      // run fn inside the shard's critical section
+	opBarrier                   // completion only: drain marker
 )
 
-// command is one ring entry.
+// command is one shard operation. A single-shard command leaves its
+// outcome in the caller's result (through the completion's result slot on
+// the ring); a fan-out command (f != nil) reads and writes its shard's
+// part of the shared fanout instead.
 type command struct {
 	kind opKind
-	flow uint32
-	arg  int
-	port int32 // opDequeueNext[View]: scheduling unit to pick from (anyPort = all)
-	slot int32 // result slot in the completion's per-shard slices
-	data []byte
+	view bool               // opDequeue, opDequeueNext: deliver zero-copy views
+	port int32              // opDequeueNext: scheduling unit to pick from (anyPort = all)
+	slot int32              // fan-out: the shard's index into f.parts
+	flow uint32             // single-shard kinds: the flow operated on
+	arg  int                // opDequeueNext: packet budget; opReserve: byte count
+	data []byte             // opEnqueue: the payload
 	w    queue.PacketWriter // opCommit: the filled reservation to splice
+	f    *fanout
 	fn   func()
 	co   *call
 }
 
-// call is a pooled completion: a countdown decremented by workers as they
-// finish the commands carrying it, plus result slots for the dedicated
-// kinds. The poster initializes pending to the command count plus one (its
-// own hold), posts, releases the hold along with any commands it failed to
-// post, and parks on done unless its own release reached zero. Whoever
-// brings pending to zero sends the single wakeup, so one producer batch
-// costs one channel operation no matter how many commands or shards it
-// spanned.
+// result is a single-shard command's outcome.
+type result struct {
+	n    int // opEnqueue: segments linked; dequeues: payload bytes
+	err  error
+	flow uint32             // opDequeueNext: the flow served
+	data []byte             // copy delivery: the reassembled payload
+	view PacketView         // view delivery
+	w    queue.PacketWriter // opReserve: the open reservation
+}
+
+// call is a completion: a countdown decremented by workers as they finish
+// the commands carrying it, plus one result slot for a single-shard
+// command. The poster initializes pending to the command count plus one
+// (its own hold), posts, releases the hold along with any commands it
+// failed to post, and parks on done unless its own release reached zero.
+// Whoever brings pending to zero sends the single wakeup, so one producer
+// batch costs one channel operation no matter how many commands or shards
+// it spanned.
 type call struct {
 	pending atomic.Int32
 	done    chan struct{}
-
-	// Result slots for dedicated command kinds (single-writer per slot).
-	n     int
-	err   error
-	data  []byte
-	view  PacketView         // opDequeueViewWait result
-	w     queue.PacketWriter // opReserve result
-	deq   []Dequeued         // single-shard opDequeueNext results
-	deqs  [][]Dequeued       // fan-out opDequeueNext results, one slice per shard
-	deqv  []DequeuedView     // single-shard opDequeueNextView results
-	deqvs [][]DequeuedView   // fan-out opDequeueNextView results, one slice per shard
-	segs  atomic.Int64       // batch enqueue: total segments linked
+	res     result
 }
 
 // finishN retires n of c's commands in one countdown decrement. Workers
@@ -138,43 +142,183 @@ func (c *call) release(n int32) {
 	}
 }
 
-func (e *Engine) getCall() *call {
-	if v := e.callPool.Get(); v != nil {
-		c := v.(*call)
-		c.n, c.err, c.data = 0, nil, nil
-		c.view = PacketView{}
-		c.w = queue.PacketWriter{}
-		c.segs.Store(0)
-		return c
+// do runs c inside s's critical section on whatever datapath is current —
+// the one executor every shard operation goes through — and leaves a
+// single-shard command's outcome in r (nil for opCall, which has none).
+// It reports false, without running c, when the engine is closed; opCall
+// always runs (after Close on the quiescent mutex path), so control-plane
+// and observation calls keep working and a half-done cross-shard move
+// always completes.
+func (e *Engine) do(s *shard, c *command, r *result) bool {
+	for {
+		m := e.mode.Load()
+		if m == modeRing {
+			if e.postWait(s, c, r) {
+				return true
+			}
+			// The ring closed under us. The mode flips to modeClosed only
+			// after every worker has exited (see Close), so yield until the
+			// flip and then re-resolve.
+			runtime.Gosched()
+			continue
+		}
+		if m == modeClosed && c.kind != opCall {
+			return false
+		}
+		s.mu.Lock()
+		if e.mode.Load() != m {
+			// Start flipped the datapath under us: the workers own the
+			// shards now.
+			s.mu.Unlock()
+			continue
+		}
+		e.exec(s, c, r)
+		s.mu.Unlock()
+		return true
 	}
-	return &call{done: make(chan struct{}, 1)}
 }
 
-func (e *Engine) putCall(c *call) {
-	for i := range c.deq {
-		c.deq[i] = Dequeued{}
+// postWait posts c to s's worker with a pooled completion and waits for
+// it to execute, copying the outcome to r. It reports false when the ring
+// refused the post (the engine is closing).
+func (e *Engine) postWait(s *shard, c *command, r *result) bool {
+	co, _ := e.callPool.Get().(*call)
+	if co == nil {
+		co = &call{done: make(chan struct{}, 1)}
 	}
-	c.deq = c.deq[:0]
-	for i := range c.deqs {
-		for j := range c.deqs[i] {
-			c.deqs[i][j] = Dequeued{}
+	co.pending.Store(1)
+	c.co = co
+	posted := s.ring.Push(*c) == nil
+	c.co = nil
+	if posted {
+		co.wait()
+		if r != nil {
+			*r = co.res
 		}
-		c.deqs[i] = c.deqs[i][:0]
+		co.res = result{}
 	}
-	c.deqs = c.deqs[:0]
-	for i := range c.deqv {
-		c.deqv[i] = DequeuedView{}
+	e.callPool.Put(co)
+	return posted
+}
+
+// run executes fn inside shard s's critical section — the opCall case of
+// the executor, used by every control-plane and slow-path operation. fn
+// captures its own results and always runs exactly once.
+func (e *Engine) run(s *shard, fn func()) {
+	e.do(s, &command{kind: opCall, fn: fn}, nil)
+}
+
+// fanout is the shared state of a call that spans shards: one part per
+// shard, plus the request and result slices the batch kinds index through
+// their parts. Pooled (each pacer keeps its own), so a fan-out call
+// allocates nothing of its own.
+type fanout struct {
+	co    call
+	parts []part
+	start int    // shard the egress rotation starts on
+	r     result // scratch for commands run in the caller's goroutine
+
+	reqs    []EnqueueReq // opEnqueue
+	flows   []uint32     // opDequeue
+	pkts    [][]byte     // opDequeue, copied
+	views   []PacketView // opDequeue, views
+	errs    []error      // per-request outcomes (aligned with reqs or flows)
+	errBufs []error      // EnqueueBatch's recycled error scratch, all-nil between uses
+}
+
+// part is one shard's share of a fanout.
+type part struct {
+	want int     // requests (per-flow batches) or packet budget (egress); 0 = not visited
+	idxs []int32 // per-flow batches: this shard's request indices, in order
+	segs int     // EnqueueBatch: segments linked
+	deq  []Dequeued
+	deqv []DequeuedView
+}
+
+// served returns how many packets the part's egress commands delivered.
+func (p *part) served(view bool) int {
+	if view {
+		return len(p.deqv)
 	}
-	c.deqv = c.deqv[:0]
-	for i := range c.deqvs {
-		for j := range c.deqvs[i] {
-			c.deqvs[i][j] = DequeuedView{}
+	return len(p.deq)
+}
+
+func newFanout(shards int) *fanout {
+	return &fanout{co: call{done: make(chan struct{}, 1)}, parts: make([]part, shards)}
+}
+
+func (e *Engine) getFanout() *fanout {
+	if f, _ := e.fanPool.Get().(*fanout); f != nil {
+		return f
+	}
+	return newFanout(len(e.shards))
+}
+
+func (e *Engine) putFanout(f *fanout) {
+	f.reset()
+	e.fanPool.Put(f)
+}
+
+// reset readies f for its next call, keeping the slices' capacity and
+// dropping every reference into the previous call's packets and requests.
+func (f *fanout) reset() {
+	for i := range f.parts {
+		p := &f.parts[i]
+		clear(p.deq)
+		clear(p.deqv)
+		p.want, p.segs = 0, 0
+		p.idxs, p.deq, p.deqv = p.idxs[:0], p.deq[:0], p.deqv[:0]
+	}
+	f.reqs, f.flows, f.pkts, f.views, f.errs = nil, nil, nil, nil, nil
+}
+
+// fanOut runs cmd once on every shard whose part has work, each command
+// reading its share of f through cmd.slot. On the ring datapath it posts
+// them all under f's one completion and waits once; otherwise — and for
+// shards whose rings refused the post because the engine is closing — it
+// runs them one shard at a time through do. Requests of shards that did
+// not run (the engine closed) are marked ErrClosed; the result reports
+// whether every shard ran.
+func (e *Engine) fanOut(f *fanout, cmd *command) bool {
+	cmd.f = f
+	from := 0 // first shard not yet handled
+	if e.mode.Load() == modeRing {
+		want := int32(0)
+		for i := range f.parts {
+			if f.parts[i].want > 0 {
+				want++
+			}
 		}
-		c.deqvs[i] = c.deqvs[i][:0]
+		f.co.pending.Store(want + 1)
+		posted := int32(0)
+		for ; from < len(f.parts); from++ {
+			if f.parts[from].want == 0 {
+				continue
+			}
+			cmd.slot, cmd.arg, cmd.co = int32(from), f.parts[from].want, &f.co
+			if e.shards[from].ring.Push(*cmd) != nil {
+				break
+			}
+			posted++
+		}
+		f.co.release(want - posted + 1)
+		cmd.co = nil
 	}
-	c.deqvs = c.deqvs[:0]
-	c.data = nil
-	e.callPool.Put(c)
+	all := true
+	for si := from; si < len(f.parts); si++ {
+		p := &f.parts[si]
+		if p.want == 0 {
+			continue
+		}
+		cmd.slot, cmd.arg = int32(si), p.want
+		if !e.do(e.shards[si], cmd, &f.r) {
+			all = false
+			for _, i := range p.idxs {
+				f.errs[i] = ErrClosed
+			}
+		}
+	}
+	return all
 }
 
 // Start switches the engine from the synchronous to the ring datapath:
@@ -204,7 +348,7 @@ func (e *Engine) Start() error {
 	// Barrier: every synchronous-path critical section entered before the
 	// flip still holds its shard mutex; acquiring and releasing all of them
 	// guarantees those sections have finished. Sections entered after the
-	// flip re-check the mode under the lock (lockSync) and bail out, so
+	// flip re-check the mode under the lock (see do) and bail out, so
 	// once this loop completes the workers are the sole shard writers.
 	for _, s := range e.shards {
 		s.mu.Lock()
@@ -220,35 +364,26 @@ func (e *Engine) Start() error {
 }
 
 // Drain blocks until every command posted before the call has been
-// executed: it posts a barrier command to every shard ring and waits for
-// the full countdown. On the synchronous datapath it is a no-op (nil);
+// executed: it fans a barrier command out to every shard ring and waits
+// for the full countdown. On the synchronous datapath it is a no-op (nil);
 // after Close it reports ErrClosed (Close itself drains).
 func (e *Engine) Drain() error {
-	for {
-		switch e.mode.Load() {
-		case modeSync:
-			return nil
-		case modeClosed:
-			return ErrClosed
-		}
-		c := e.getCall()
-		want := int32(len(e.shards))
-		c.pending.Store(want + 1)
-		posted := int32(0)
-		for _, s := range e.shards {
-			if s.ring.Push(command{kind: opBarrier, co: c}) == nil {
-				posted++
-			}
-		}
-		c.release(want - posted + 1)
-		e.putCall(c)
-		if posted == want {
-			return nil
-		}
-		// Some rings refused: the engine is closing. Yield until Close
-		// finishes flipping the mode, then report ErrClosed above.
-		runtime.Gosched()
+	switch e.mode.Load() {
+	case modeSync:
+		return nil
+	case modeClosed:
+		return ErrClosed
 	}
+	f := e.getFanout()
+	for i := range f.parts {
+		f.parts[i].want = 1
+	}
+	all := e.fanOut(f, &command{kind: opBarrier})
+	e.putFanout(f)
+	if !all {
+		return ErrClosed
+	}
+	return nil
 }
 
 // Close shuts the engine down. On the ring datapath it stops accepting new
@@ -337,10 +472,18 @@ func newWorkerScratch() *workerScratch {
 func (e *Engine) execBatch(s *shard, cmds []command, w *workerScratch) {
 	cos, cnt := w.cos[:0], w.cnt[:0]
 	coalesced := uint64(0)
+	var scratch result // outcomes nobody waits on
 	for i := range cmds {
 		c := &cmds[i]
 		co := c.co
-		e.exec(s, c)
+		r := &scratch
+		if co != nil && c.f == nil {
+			r = &co.res // a single-shard command's poster reads it
+		}
+		e.exec(s, c, r)
+		if co == nil && r.err != nil && c.kind == opEnqueue {
+			e.settleAsync(s, c, r.err)
+		}
 		if co != nil {
 			// Reverse scan: commands sharing a completion are posted in
 			// runs, so the previous entry hits first.
@@ -514,82 +657,94 @@ func (e *Engine) recruit(si int) {
 	}
 }
 
-// exec runs one command inside shard s's critical section (the worker).
-func (e *Engine) exec(s *shard, c *command) {
+// exec runs one command inside shard s's critical section — under the
+// shard mutex or on the shard's worker — leaving a single-shard command's
+// outcome in r; fan-out commands write their part of c.f instead.
+// Completion countdowns are not decremented here: execBatch flushes them
+// merged per distinct completion at the end of the drained batch.
+func (e *Engine) exec(s *shard, c *command, r *result) {
+	if c.f != nil {
+		e.execPart(s, c, r)
+		return
+	}
 	switch c.kind {
 	case opEnqueue:
-		n, err := s.enqueueLocked(c.flow, c.data)
-		switch {
-		case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
-			n, err = e.enqueueEvictLocal(s, c.flow, c.data)
-		case err != nil && s.admKind == policy.KindLQD && errors.Is(err, queue.ErrNoFreeSegments):
-			// Pool exhausted (or its free segments stranded in other
-			// shards' caches, which this worker must not touch): under
-			// LQD the arrival is still entitled to eviction. Un-count the
-			// rejection — the eviction path settles the packet's fate
-			// exactly once.
-			s.rejected--
-			n, err = e.enqueueEvictLocal(s, c.flow, c.data)
-		}
-		_, _ = n, err // fire-and-forget: outcomes live in the shard counters
-	case opEnqueueWait:
-		c.co.n, c.co.err = s.enqueueLocked(c.flow, c.data)
-	case opDequeueWait:
-		buf := e.getBuf()
-		out, n, err := s.m.DequeuePacketAppend(queue.QueueID(c.flow), buf)
-		s.noteDequeue(n, err)
-		if err != nil {
-			e.putBuf(buf)
-			c.co.err = err
-		} else {
-			s.noteCopied(len(out))
-			s.syncActive(c.flow)
-			s.noteRemoveRes(c.flow, true)
-			c.co.data = out
-			c.co.n = n
-		}
-	case opDequeueViewWait:
-		v, err := s.dequeueViewLocked(c.flow)
-		if err != nil {
-			c.co.err = err
-		} else {
-			c.co.view = v
-		}
-	case opDequeueNextView:
-		dst := &c.co.deqv
-		if len(c.co.deqvs) > 0 {
-			dst = &c.co.deqvs[c.slot]
-		}
-		for len(*dst) < c.arg {
-			d, ok := e.dequeuePickedView(s, int(c.port))
-			if !ok {
-				break
-			}
-			*dst = append(*dst, d)
-		}
-	case opReserve:
-		c.co.w, c.co.err = s.reserveLocked(c.flow, c.arg)
-	case opCommit:
-		c.co.err = s.commitLocked(c.flow, &c.w)
+		r.n, r.err = s.enqueueLocked(c.flow, c.data)
+	case opDequeue:
+		e.dequeueLocked(s, c.flow, c.view, r)
 	case opDequeueNext:
-		dst := &c.co.deq
-		if len(c.co.deqs) > 0 {
-			dst = &c.co.deqs[c.slot]
-		}
-		for len(*dst) < c.arg {
-			d, ok := e.dequeuePicked(s, int(c.port))
-			if !ok {
-				break
-			}
-			*dst = append(*dst, d)
-		}
+		e.dequeuePicked(s, int(c.port), c.view, r)
+	case opReserve:
+		r.w, r.err = s.reserveLocked(c.flow, c.arg)
+	case opCommit:
+		r.err = s.commitLocked(c.flow, &c.w)
 	case opCall:
 		c.fn()
 	case opBarrier:
 		// Completion only.
 	}
-	// Completion countdowns are NOT decremented here: execBatch flushes
-	// them merged per distinct completion at the end of the drained batch.
+}
+
+// execPart runs a fan-out command's share of c.f: its shard's bucket of a
+// per-flow batch, or its budget of egress picks. r is scratch.
+func (e *Engine) execPart(s *shard, c *command, r *result) {
+	f := c.f
+	p := &f.parts[c.slot]
+	switch c.kind {
+	case opEnqueue:
+		for k, i := range p.idxs {
+			n, err := s.enqueueLocked(f.reqs[i].Flow, f.reqs[i].Data)
+			if err == errWantPushOut || //nolint:errorlint // internal sentinel, never wrapped
+				(err != nil && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() > 0) {
+				// Push-out eviction or a stranded-cache flush must run
+				// outside the critical section: defer the rest of the
+				// bucket, in order, to the per-packet path.
+				for _, j := range p.idxs[k:] {
+					f.errs[j] = errBatchRetry
+				}
+				return
+			}
+			f.errs[i] = err
+			if err == nil {
+				p.segs += n
+			}
+		}
+	case opDequeue:
+		for _, i := range p.idxs {
+			e.dequeueLocked(s, f.flows[i], c.view, r)
+			f.errs[i] = r.err
+			if c.view {
+				f.views[i] = r.view
+			} else {
+				f.pkts[i] = r.data
+			}
+		}
+	case opDequeueNext:
+		for k := 0; k < c.arg && e.dequeuePicked(s, int(c.port), c.view, r); k++ {
+			if c.view {
+				p.deqv = append(p.deqv, DequeuedView{Flow: r.flow, Bytes: r.n, View: r.view})
+			} else {
+				p.deq = append(p.deq, Dequeued{Flow: r.flow, Data: r.data, Bytes: r.n})
+			}
+		}
+	}
+}
+
+// settleAsync settles a fire-and-forget enqueue's refusal on the worker.
+// Under LQD the arrival is entitled to push-out eviction, whether the
+// policy asked for it or the pool ran dry (or its free segments are
+// stranded in other shards' caches, which this worker must not touch); the
+// rejection the attempt counted is withdrawn, because the eviction path
+// settles the packet's fate exactly once.
+func (e *Engine) settleAsync(s *shard, c *command, err error) {
+	switch {
+	case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
+	case s.admKind == policy.KindLQD && errors.Is(err, queue.ErrNoFreeSegments):
+		s.rejected--
+	default:
+		return // refused and counted
+	}
+	_, _ = e.enqueueEvictLocal(s, c.flow, c.data)
 }
 
 // enqueueEvictLocal handles an LQD push-out verdict for a fire-and-forget
@@ -627,29 +782,6 @@ func (e *Engine) enqueueEvictLocal(s *shard, flow uint32, data []byte) (int, err
 	return 0, ErrAdmissionDrop
 }
 
-// post pushes cmd onto s's ring, blocking for backpressure; a closed ring
-// maps to ErrClosed.
-func (e *Engine) post(s *shard, cmd command) error {
-	if s.ring.Push(cmd) != nil {
-		return ErrClosed
-	}
-	return nil
-}
-
-// postFnWait runs fn on s's worker and waits. ok is false when the ring
-// refused the command (engine closing) — the caller re-resolves the mode.
-func (e *Engine) postFnWait(s *shard, fn func()) bool {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opCall, fn: fn, co: c}) != nil {
-		e.putCall(c)
-		return false
-	}
-	c.wait()
-	e.putCall(c)
-	return true
-}
-
 // EnqueueAsync posts a fire-and-forget enqueue of data onto flow: the call
 // returns as soon as the command is in the shard's ring (blocking only for
 // ring backpressure), and the outcome — linked, dropped by admission, or
@@ -661,138 +793,25 @@ func (e *Engine) postFnWait(s *shard, fn func()) bool {
 // error is ErrClosed. On the synchronous datapath it degrades to an
 // immediate enqueue whose outcome is likewise only counted.
 func (e *Engine) EnqueueAsync(flow uint32, data []byte) error {
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
+	s := e.shardOf(flow)
+	c := command{kind: opEnqueue, flow: flow, data: data}
+	if e.mode.Load() == modeRing && s.ring.Push(c) == nil {
+		return nil
+	}
+	var r result
+	if !e.do(s, &c, &r) {
+		return ErrClosed
+	}
+	if r.err == errWantPushOut { //nolint:errorlint // internal sentinel, never wrapped
+		// Fall back to the blocking path for the eviction dance. Every
+		// outcome it can produce is counted — except a Close landing
+		// mid-eviction, which must surface here or the packet would vanish
+		// with no trace in the counters.
+		if _, err := e.EnqueuePacket(flow, data); errors.Is(err, ErrClosed) {
 			return ErrClosed
-		case modeRing:
-			s := e.shardOf(flow)
-			if e.post(s, command{kind: opEnqueue, flow: flow, data: data}) != nil {
-				return ErrClosed
-			}
-			return nil
-		default:
-			s := e.shardOf(flow)
-			if !e.lockSync(s) {
-				continue
-			}
-			n, err := s.enqueueLocked(flow, data)
-			s.mu.Unlock()
-			if err == errWantPushOut { //nolint:errorlint // internal sentinel, never wrapped
-				// Fall back to the blocking path for the eviction dance.
-				// Every outcome it can produce is counted — except a Close
-				// landing mid-eviction, which must surface here or the
-				// packet would vanish with no trace in the counters.
-				if _, err := e.EnqueuePacket(flow, data); errors.Is(err, ErrClosed) {
-					return ErrClosed
-				}
-			}
-			_ = n
-			return nil
 		}
 	}
-}
-
-// enqueueRingWait posts a blocking enqueue and returns the worker's
-// verdict. errWantPushOut surfaces to EnqueuePacket, which orchestrates
-// the global eviction from the calling goroutine.
-func (e *Engine) enqueueRingWait(s *shard, flow uint32, data []byte) (int, error) {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opEnqueueWait, flow: flow, data: data, co: c}) != nil {
-		e.putCall(c)
-		return 0, ErrClosed
-	}
-	c.wait()
-	n, err := c.n, c.err
-	e.putCall(c)
-	return n, err
-}
-
-// dequeueRingWait posts a blocking dequeue and returns the reassembled
-// packet.
-func (e *Engine) dequeueRingWait(s *shard, flow uint32) ([]byte, error) {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opDequeueWait, flow: flow, co: c}) != nil {
-		e.putCall(c)
-		return nil, ErrClosed
-	}
-	c.wait()
-	data, err := c.data, c.err
-	e.putCall(c)
-	return data, err
-}
-
-// dequeueNextRing asks s's worker for up to max egress-picked packets on
-// port (anyPort = all scheduling units) and appends them to out.
-func (e *Engine) dequeueNextRing(s *shard, port int, out []Dequeued, max int) []Dequeued {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opDequeueNext, arg: max, port: int32(port), co: c}) != nil {
-		e.putCall(c)
-		return out
-	}
-	c.wait()
-	out = append(out, c.deq...)
-	e.putCall(c)
-	return out
-}
-
-// dequeueNextRingAll is the ring datapath of DequeueNextBatch: one
-// pick-and-dequeue command per shard under a single completion — one
-// producer wakeup per call instead of one per shard. The budget is split
-// across shards (rotated so shards share egress bandwidth); a second,
-// serial pass hands leftover budget to shards that filled their split —
-// they may hold more — so a backlog concentrated on one shard still drains
-// at full batch size.
-func (e *Engine) dequeueNextRingAll(start, max int) []Dequeued {
-	n := len(e.shards)
-	c := e.getCall()
-	if cap(c.deqs) < n {
-		c.deqs = make([][]Dequeued, n)
-	} else {
-		c.deqs = c.deqs[:n]
-	}
-	base, extra := max/n, max%n
-	budget := func(i int) int {
-		if i < extra {
-			return base + 1
-		}
-		return base
-	}
-	c.pending.Store(int32(n) + 1)
-	posted := int32(0)
-	for i := 0; i < n; i++ {
-		if budget(i) == 0 {
-			continue
-		}
-		s := e.shards[(start+i)%n]
-		if e.post(s, command{kind: opDequeueNext, arg: budget(i), port: anyPort, slot: int32(i), co: c}) == nil {
-			posted++
-		}
-	}
-	c.release(int32(n) - posted + 1)
-	var out []Dequeued
-	var more []int
-	for i := 0; i < n; i++ {
-		out = append(out, c.deqs[i]...)
-		// Candidates for the serial top-up pass: shards that filled their
-		// split (they may hold more) and shards the split gave nothing to
-		// (with max < shards, the whole backlog may live on one of them —
-		// skipping them could report an idle engine that isn't).
-		if b := budget(i); b == 0 || len(c.deqs[i]) == b {
-			more = append(more, i)
-		}
-	}
-	e.putCall(c)
-	for _, i := range more {
-		if len(out) >= max {
-			break
-		}
-		out = e.dequeueNextRing(e.shards[(start+i)%n], anyPort, out, max-len(out))
-	}
-	return out
+	return nil
 }
 
 // RingOccupancy returns the summed occupancy of all shard command rings —

@@ -36,9 +36,7 @@ package engine
 // enqueued at Commit. None of these paths touch Stats.CopiedBytes.
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 
 	"npqm/internal/queue"
 )
@@ -84,34 +82,11 @@ func (f SinkVFunc) SendView(port int, d DequeuedView) error { return f(port, d) 
 // datapath the call blocks until the shard's worker has executed the
 // command, like DequeuePacket.
 func (e *Engine) DequeuePacketView(flow uint32) (PacketView, error) {
-	s := e.shardOf(flow)
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return PacketView{}, ErrClosed
-		case modeRing:
-			return e.dequeueViewRingWait(s, flow)
-		}
-		if !e.lockSync(s) {
-			continue
-		}
-		v, err := s.dequeueViewLocked(flow)
-		s.mu.Unlock()
-		return v, err
+	var r result
+	if !e.do(e.shardOf(flow), &command{kind: opDequeue, view: true, flow: flow}, &r) {
+		return PacketView{}, ErrClosed
 	}
-}
-
-// dequeueViewLocked is the per-flow view dequeue inside s's critical
-// section: manager dequeue, traffic counters, active-list and residence
-// maintenance — the view counterpart of the DequeuePacketAppend sites.
-func (s *shard) dequeueViewLocked(flow uint32) (queue.PacketView, error) {
-	v, err := s.m.DequeuePacketView(queue.QueueID(flow))
-	s.noteDequeue(v.Segments(), err)
-	if err == nil {
-		s.syncActive(flow)
-		s.noteRemoveRes(flow, true)
-	}
-	return v, err
+	return r.view, r.err
 }
 
 // DequeueNextView serves one packet chosen by the egress discipline as a
@@ -120,32 +95,11 @@ func (s *shard) dequeueViewLocked(flow uint32) (queue.PacketView, error) {
 // done. On the synchronous datapath the call allocates nothing at all:
 // the view is a value and there is no reassembly buffer.
 func (e *Engine) DequeueNextView() (DequeuedView, bool) {
-	n := len(e.shards)
-	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
-	for i := 0; i < n; i++ {
-		s := e.shards[(start+i)%n]
-		for {
-			switch e.mode.Load() {
-			case modeClosed:
-				return DequeuedView{}, false
-			case modeRing:
-				if out := e.dequeueNextViewRing(s, anyPort, nil, 1); len(out) == 1 {
-					return out[0], true
-				}
-			default:
-				if !e.lockSync(s) {
-					continue
-				}
-				d, ok := e.dequeuePickedView(s, anyPort)
-				s.mu.Unlock()
-				if ok {
-					return d, true
-				}
-			}
-			break
-		}
+	var r result
+	if !e.dequeueNextOne(e.nextStart(), anyPort, true, &r) {
+		return DequeuedView{}, false
 	}
-	return DequeuedView{}, false
+	return DequeuedView{Flow: r.flow, Bytes: r.n, View: r.view}, true
 }
 
 // DequeueNextViewBatch serves up to max packets as zero-copy views,
@@ -156,80 +110,11 @@ func (e *Engine) DequeueNextViewBatch(max int) []DequeuedView {
 	if max <= 0 {
 		return nil
 	}
-	n := len(e.shards)
-	// n is a power of two; mask before the int conversion so the uint32
-	// cursor wrapping past 2^31 cannot go negative on 32-bit platforms.
-	start := int((e.egCursor.Add(1) - 1) & uint32(n-1))
-	if e.mode.Load() == modeRing {
-		return e.dequeueNextViewRingAll(start, max)
-	}
-	var out []DequeuedView
-	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShardViews(e.shards[(start+i)%n], anyPort, out, max)
-	}
+	f := e.getFanout()
+	e.dequeueNext(f, e.nextStart(), anyPort, max, true)
+	out := f.appendViews(nil)
+	e.putFanout(f)
 	return out
-}
-
-// drainShardViews is drainShard for view delivery: discipline-picked
-// packets from one shard on one port (anyPort = all) until out reaches
-// max or the shard has nothing servable, resolving the datapath mode per
-// attempt. Shared by the pull API (DequeueNextViewBatch) and the pacers
-// (dequeuePortViews).
-func (e *Engine) drainShardViews(s *shard, port int, out []DequeuedView, max int) []DequeuedView {
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return out
-		case modeRing:
-			return e.dequeueNextViewRing(s, port, out, max-len(out))
-		default:
-			if !e.lockSync(s) {
-				continue // datapath switched under us: re-resolve the mode
-			}
-			for len(out) < max {
-				d, ok := e.dequeuePickedView(s, port)
-				if !ok {
-					break
-				}
-				out = append(out, d)
-			}
-			s.mu.Unlock()
-			return out
-		}
-	}
-}
-
-// dequeuePickedView serves one packet picked by the two-level discipline
-// from shard s as a zero-copy view, inside s's critical section — the
-// view mirror of dequeuePicked, with the same DRR charging (the byte
-// count comes from the queue accounting, so class-level DRR conservation
-// stays exact) and without the buffer pool round trip.
-func (e *Engine) dequeuePickedView(s *shard, port int) (DequeuedView, bool) {
-	for {
-		flow, debit, ok := s.pickLocked(port)
-		if !ok {
-			return DequeuedView{}, false
-		}
-		v, err := s.m.DequeuePacketView(queue.QueueID(flow))
-		s.noteDequeue(v.Segments(), err)
-		if err != nil {
-			// The list said active but no complete packet is available
-			// (raw-segment misuse): deactivate the flow so the pick loop
-			// cannot spin on it; no DRR debit — nothing was served.
-			s.clearActive(flow)
-			continue
-		}
-		bytes := v.Len()
-		if debit != 0 {
-			s.SetDeficit(int32(flow), s.Deficit(int32(flow))-debit)
-		}
-		if s.eg.hasLevelDRR {
-			s.chargeLevels(flow, bytes)
-		}
-		s.syncActive(flow)
-		s.noteRemoveRes(flow, true)
-		return DequeuedView{Flow: flow, Bytes: bytes, View: v}, true
-	}
 }
 
 // ReleaseViews releases every view in ds, returning the chains to the
@@ -258,163 +143,8 @@ func (e *Engine) DequeueViewBatch(flows []uint32) (views []PacketView, errs []er
 		return nil, nil
 	}
 	views = make([]PacketView, len(flows))
-	errs = make([]error, len(flows))
-	if e.mode.Load() == modeClosed {
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return views, errs
-	}
-	b := e.getBuckets()
-	for i, flow := range flows {
-		si := e.ShardOf(flow)
-		b.byShard[si] = append(b.byShard[si], int32(i))
-	}
-	if e.mode.Load() == modeRing {
-		e.dequeueViewBatchRing(flows, views, errs, b)
-	} else {
-		e.dequeueViewBatchSync(flows, views, errs, b)
-	}
-	e.putBuckets(b)
+	errs = e.dequeueBatch(flows, nil, views)
 	return views, errs
-}
-
-// dequeueViewBatchSync is the mutex-datapath bucket walk.
-func (e *Engine) dequeueViewBatchSync(flows []uint32, views []PacketView, errs []error, b *buckets) {
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		if !e.lockSync(s) {
-			// Datapath switched under us: replay this bucket per-packet.
-			for _, i := range idxs {
-				views[i], errs[i] = e.DequeuePacketView(flows[i])
-			}
-			continue
-		}
-		for _, i := range idxs {
-			views[i], errs[i] = s.dequeueViewLocked(flows[i])
-		}
-		s.mu.Unlock()
-	}
-}
-
-// dequeueViewBatchRing posts one command per touched shard under a shared
-// completion; each worker fills its bucket's result slots directly.
-func (e *Engine) dequeueViewBatchRing(flows []uint32, views []PacketView, errs []error, b *buckets) {
-	c := e.getCall()
-	var want int32
-	for _, idxs := range b.byShard {
-		if len(idxs) > 0 {
-			want++
-		}
-	}
-	c.pending.Store(want + 1)
-	posted := int32(0)
-	for si, idxs := range b.byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		s := e.shards[si]
-		idxs := idxs
-		cmd := command{kind: opCall, co: c, fn: func() {
-			for _, i := range idxs {
-				views[i], errs[i] = s.dequeueViewLocked(flows[i])
-			}
-		}}
-		if e.post(s, cmd) != nil {
-			for _, i := range idxs {
-				errs[i] = ErrClosed
-			}
-			continue
-		}
-		posted++
-	}
-	c.release(want - posted + 1)
-	e.putCall(c)
-}
-
-// --- delivery: ring-datapath posters ---
-
-// dequeueViewRingWait posts a blocking view dequeue and returns the
-// worker's result.
-func (e *Engine) dequeueViewRingWait(s *shard, flow uint32) (PacketView, error) {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opDequeueViewWait, flow: flow, co: c}) != nil {
-		e.putCall(c)
-		return PacketView{}, ErrClosed
-	}
-	c.wait()
-	v, err := c.view, c.err
-	e.putCall(c)
-	return v, err
-}
-
-// dequeueNextViewRing asks s's worker for up to max egress-picked views
-// on port (anyPort = all scheduling units) and appends them to out.
-func (e *Engine) dequeueNextViewRing(s *shard, port int, out []DequeuedView, max int) []DequeuedView {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opDequeueNextView, arg: max, port: int32(port), co: c}) != nil {
-		e.putCall(c)
-		return out
-	}
-	c.wait()
-	out = append(out, c.deqv...)
-	e.putCall(c)
-	return out
-}
-
-// dequeueNextViewRingAll is the ring datapath of DequeueNextViewBatch:
-// one pick-and-dequeue command per shard under a single completion, with
-// the same budget split and serial top-up pass as dequeueNextRingAll.
-func (e *Engine) dequeueNextViewRingAll(start, max int) []DequeuedView {
-	n := len(e.shards)
-	c := e.getCall()
-	if cap(c.deqvs) < n {
-		c.deqvs = make([][]DequeuedView, n)
-	} else {
-		c.deqvs = c.deqvs[:n]
-	}
-	base, extra := max/n, max%n
-	budget := func(i int) int {
-		if i < extra {
-			return base + 1
-		}
-		return base
-	}
-	c.pending.Store(int32(n) + 1)
-	posted := int32(0)
-	for i := 0; i < n; i++ {
-		if budget(i) == 0 {
-			continue
-		}
-		s := e.shards[(start+i)%n]
-		if e.post(s, command{kind: opDequeueNextView, arg: budget(i), port: anyPort, slot: int32(i), co: c}) == nil {
-			posted++
-		}
-	}
-	c.release(int32(n) - posted + 1)
-	var out []DequeuedView
-	var more []int
-	for i := 0; i < n; i++ {
-		out = append(out, c.deqvs[i]...)
-		// Top-up candidates: shards that filled their split (they may hold
-		// more) and shards the split gave nothing to.
-		if b := budget(i); b == 0 || len(c.deqvs[i]) == b {
-			more = append(more, i)
-		}
-	}
-	e.putCall(c)
-	for _, i := range more {
-		if len(out) >= max {
-			break
-		}
-		out = e.dequeueNextViewRing(e.shards[(start+i)%n], anyPort, out, max-len(out))
-	}
-	return out
 }
 
 // --- delivery: push mode ---
@@ -454,12 +184,20 @@ func (e *Engine) ServeViews(port int, sink SinkV) error {
 // for the view serve loop. Only p's home pacer calls it (shardCursor is
 // pacer-local).
 func (e *Engine) dequeuePortViews(p *port, out []DequeuedView, max int) []DequeuedView {
-	n := len(e.shards)
 	p.shardCursor++
-	start := int(p.shardCursor) % n
-	for i := 0; i < n && len(out) < max; i++ {
-		out = e.drainShardViews(e.shards[(start+i)%n], p.idx, out, max)
+	start := int(p.shardCursor) & (len(e.shards) - 1)
+	if max == 1 {
+		// A shaped port is served a packet at a time (see dequeuePort).
+		var r result
+		if e.dequeueNextOne(start, p.idx, true, &r) {
+			out = append(out, DequeuedView{Flow: r.flow, Bytes: r.n, View: r.view})
+		}
+		return out
 	}
+	f := p.pc.scratch()
+	e.drainNext(f, start, p.idx, max, true)
+	out = f.appendViews(out)
+	f.reset()
 	return out
 }
 
@@ -507,40 +245,11 @@ func (r *Reservation) Range(fn func(seg []byte) bool) { r.w.Range(fn) }
 func (e *Engine) ReservePacket(flow uint32, n int) (Reservation, error) {
 	s := e.shardOf(flow)
 	need := (n + queue.SegmentBytes - 1) / queue.SegmentBytes
-	for attempt := 0; ; attempt++ {
-		var w queue.PacketWriter
-		var err error
-		switch e.mode.Load() {
-		case modeClosed:
-			return Reservation{}, ErrClosed
-		case modeRing:
-			w, err = e.reserveRingWait(s, flow, n)
-		default:
-			if !e.lockSync(s) {
-				continue
-			}
-			w, err = s.reserveLocked(flow, n)
-			s.mu.Unlock()
-		}
-		switch {
-		case err == errWantPushOut: //nolint:errorlint // internal sentinel, never wrapped
-			if attempt >= maxEvictAttempts || !e.evictForSpace(need) {
-				e.run(s, func() {
-					s.dropPackets++
-					s.dropSegments += uint64(need)
-				})
-				return Reservation{}, ErrAdmissionDrop
-			}
-		case attempt < maxEvictAttempts && errors.Is(err, queue.ErrNoFreeSegments) && e.store.Free() >= need:
-			// Free segments stranded in other shards' caches; flush and
-			// retry, exactly as EnqueuePacket does.
-			e.flushCaches()
-		case err != nil:
-			return Reservation{}, err
-		default:
-			return Reservation{e: e, s: s, flow: flow, w: w}, nil
-		}
+	var r result
+	if err := e.ingest(s, &command{kind: opReserve, flow: flow, arg: n}, need, &r); err != nil {
+		return Reservation{}, err
 	}
+	return Reservation{e: e, s: s, flow: flow, w: r.w}, nil
 }
 
 // reserveLocked runs admission then the manager reservation, inside s's
@@ -585,35 +294,16 @@ func (r *Reservation) Commit() error {
 	if r.e == nil {
 		return queue.ErrWriterDone
 	}
-	e, s := r.e, r.s
-	for {
-		switch e.mode.Load() {
-		case modeClosed:
-			return ErrClosed
-		case modeRing:
-			ok, err := e.commitRing(s, r.flow, &r.w)
-			if !ok {
-				// The ring refused (engine closing): yield until the mode
-				// flips and report ErrClosed above.
-				runtime.Gosched()
-				continue
-			}
-			if err == nil {
-				*r = Reservation{}
-			}
-			return err
-		default:
-			if !e.lockSync(s) {
-				continue
-			}
-			err := s.commitLocked(r.flow, &r.w)
-			s.mu.Unlock()
-			if err == nil {
-				*r = Reservation{}
-			}
-			return err
-		}
+	// The command carries a copy of the writer; the reservation is reset
+	// once the copy is spliced.
+	var res result
+	if !r.e.do(r.s, &command{kind: opCommit, flow: r.flow, w: r.w}, &res) {
+		return ErrClosed
 	}
+	if res.err == nil {
+		*r = Reservation{}
+	}
+	return res.err
 }
 
 // Abort scrubs the reserved run and returns it to the pool without ever
@@ -627,40 +317,6 @@ func (r *Reservation) Abort() error {
 	err := r.w.Abort()
 	*r = Reservation{}
 	return err
-}
-
-// --- ingest: ring-datapath posters ---
-
-// reserveRingWait posts a blocking reservation and returns the worker's
-// verdict. errWantPushOut surfaces to ReservePacket, which orchestrates
-// the global eviction from the calling goroutine.
-func (e *Engine) reserveRingWait(s *shard, flow uint32, n int) (queue.PacketWriter, error) {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opReserve, flow: flow, arg: n, co: c}) != nil {
-		e.putCall(c)
-		return queue.PacketWriter{}, ErrClosed
-	}
-	c.wait()
-	w, err := c.w, c.err
-	e.putCall(c)
-	return w, err
-}
-
-// commitRing posts a blocking commit. ok is false when the ring refused
-// the command (engine closing) — the reservation is untouched and the
-// caller re-resolves the mode.
-func (e *Engine) commitRing(s *shard, flow uint32, w *queue.PacketWriter) (ok bool, err error) {
-	c := e.getCall()
-	c.pending.Store(1)
-	if e.post(s, command{kind: opCommit, flow: flow, w: *w, co: c}) != nil {
-		e.putCall(c)
-		return false, nil
-	}
-	c.wait()
-	err = c.err
-	e.putCall(c)
-	return true, err
 }
 
 // LentSegments returns the pool-wide lent population: segments checked
