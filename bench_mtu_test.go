@@ -83,6 +83,58 @@ func benchIngest(cm *ConcurrentQueueManager, f uint32, pkt []byte, view bool) er
 	return r.Commit()
 }
 
+// BenchmarkEngineMTUIngest is the per-layer benchmark of write-in-place
+// ingest on each datapath: one goroutine reserves, fills and commits a
+// packet per iteration, and every 64 packets drains them with
+// DequeueNextViewBatch + ReleaseViews. On the ring datapath Commit posts
+// without waiting, so this isolates what the producer pays per packet for
+// the reserve round trip and the commit post. The headline is ns/pkt
+// (equal to ns/op here: one packet per iteration, drain included).
+func BenchmarkEngineMTUIngest(b *testing.B) {
+	for _, datapath := range []string{"sync", "ring"} {
+		for _, size := range []int{64, 1500} {
+			b.Run(fmt.Sprintf("datapath=%s/pkt=%d", datapath, size), func(b *testing.B) {
+				cm, err := NewConcurrentEngine(ConcurrentConfig{
+					Flows:    DefaultFlows,
+					Segments: 1 << 17,
+					Shards:   4,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if datapath == "ring" {
+					if err := cm.Start(); err != nil {
+						b.Fatal(err)
+					}
+					defer cm.Close()
+				}
+				const burst = 64
+				pkt := make([]byte, size)
+				fd := benchFlowDist(b, 1)
+				pending := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := benchIngest(cm, fd.Next(), pkt, true); err != nil {
+						b.Fatal(err)
+					}
+					if pending++; pending == burst || i == b.N-1 {
+						for pending > 0 {
+							out := cm.DequeueNextViewBatch(pending)
+							if len(out) == 0 {
+								b.Fatalf("%d committed packets not served", pending)
+							}
+							cm.ReleaseViews(out)
+							pending -= len(out)
+						}
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pkt")
+			})
+		}
+	}
+}
+
 // benchMTUSharded is the enqueue/dequeue round trip: per-packet cost with
 // no cross-goroutine handoff, the closest measure of the per-segment path.
 func benchMTUSharded(b *testing.B, mixCfg traffic.SizeMixConfig, payload []byte, view bool) {

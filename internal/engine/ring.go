@@ -15,8 +15,9 @@ package engine
 //     mutex. The caller posts the same command with a pooled completion
 //     and parks until the worker has executed it; fan-out calls post one
 //     command per touched shard under one completion and wake once.
-//     EnqueueAsync posts with no completion at all; its outcomes
-//     (admission drops, pool rejections) are visible in Stats counters.
+//     EnqueueAsync and Commit post with no completion at all (post): an
+//     async enqueue's outcomes (admission drops, pool rejections) are
+//     visible in Stats counters, and a commit has no outcome to wait for.
 //   - After Close: the workers have exited, so the command runs under the
 //     now-uncontended mutex — only control-plane and observation calls
 //     (opCall) still execute; datapath commands report ErrClosed.
@@ -57,7 +58,7 @@ const (
 	opDequeue                   // per-flow dequeue, copied or as a view
 	opDequeueNext               // egress-picked dequeue of up to arg packets on port
 	opReserve                   // open an arg-byte write-in-place reservation
-	opCommit                    // splice a filled reservation onto its queue
+	opCommit                    // splice a filled reservation onto its queue (ring: posted with no completion)
 	opCall                      // run fn inside the shard's critical section
 	opBarrier                   // completion only: drain marker
 )
@@ -199,6 +200,17 @@ func (e *Engine) postWait(s *shard, c *command, r *result) bool {
 	}
 	e.callPool.Put(co)
 	return posted
+}
+
+// post pushes c onto s's ring with no completion — the post-and-go path
+// of the commands whose caller waits for no outcome (EnqueueAsync,
+// Commit) — and reports whether the ring accepted it. It reports false on
+// the synchronous datapath and when the ring refused the post because the
+// engine is closing; the caller then runs c through do. An accepted
+// command is executed before anything posted to s after it: each ring is
+// FIFO, and Close drains every accepted command.
+func (e *Engine) post(s *shard, c *command) bool {
+	return e.mode.Load() == modeRing && s.ring.Push(*c) == nil
 }
 
 // run executes fn inside shard s's critical section — the opCall case of
@@ -795,7 +807,7 @@ func (e *Engine) enqueueEvictLocal(s *shard, flow uint32, data []byte) (int, err
 func (e *Engine) EnqueueAsync(flow uint32, data []byte) error {
 	s := e.shardOf(flow)
 	c := command{kind: opEnqueue, flow: flow, data: data}
-	if e.mode.Load() == modeRing && s.ring.Push(c) == nil {
+	if e.post(s, &c) {
 		return nil
 	}
 	var r result

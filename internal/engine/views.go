@@ -14,8 +14,11 @@ package engine
 //   - Ingest: ReservePacket opens a write-in-place Reservation — the
 //     segment run is allocated and linked up front, the producer fills the
 //     per-segment slices (the iovecs a socket reader hands to readv), and
-//     Commit splices the chain onto the flow's queue in O(1). Abort hands
-//     the untouched run back in one bulk return.
+//     Commit splices the chain onto the flow's queue in O(1). On the ring
+//     datapath EnqueueAsync and Commit post with no completion: Commit
+//     returns once the splice is in the shard's ring (see
+//     Reservation.Commit for what it is ordered before). Abort hands the
+//     untouched run back in one bulk return.
 //
 // Reference discipline: every view starts with one reference owned by
 // whoever the engine handed it to. Pull-API callers (DequeuePacketView,
@@ -285,19 +288,32 @@ func (s *shard) commitLocked(flow uint32, w *queue.PacketWriter) error {
 	return nil
 }
 
-// Commit splices the filled run onto the flow's queue — the packet
-// becomes visible to dequeues and counts as enqueued from here. After a
-// successful Commit the reservation is terminal. Committing on a closed
-// engine returns ErrClosed with the reservation still open; Abort (which
-// needs no datapath) then returns the segments.
+// Commit splices the filled run onto the flow's queue. After a successful
+// Commit the reservation is terminal. Committing on a closed engine
+// returns ErrClosed with the reservation still open; Abort (which needs no
+// datapath) then returns the segments.
+//
+// On the ring datapath Commit posts the splice to the shard's worker and
+// returns without waiting: the splice cannot fail on an open reservation,
+// so there is no outcome to wait for. Each shard's ring is FIFO, so the
+// packet is visible to every command that reaches the shard after Commit
+// returns, from any goroutine: dequeues and egress batches, Len, Stats,
+// CheckInvariants, Drain and Close (Close drains every accepted command,
+// so no commit is lost). Only the lock-free gauges — LentSegments,
+// FreeSegments, RingOccupancy — may lag until the worker runs the splice.
 func (r *Reservation) Commit() error {
 	if r.e == nil {
 		return queue.ErrWriterDone
 	}
 	// The command carries a copy of the writer; the reservation is reset
-	// once the copy is spliced.
+	// once the ring accepts the copy or the executor has spliced it.
+	c := command{kind: opCommit, flow: r.flow, w: r.w}
+	if r.e.post(r.s, &c) {
+		*r = Reservation{}
+		return nil
+	}
 	var res result
-	if !r.e.do(r.s, &command{kind: opCommit, flow: r.flow, w: r.w}, &res) {
+	if !r.e.do(r.s, &c, &res) {
 		return ErrClosed
 	}
 	if res.err == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,6 +208,176 @@ func TestReserveAdmission(t *testing.T) {
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRingCommitPostAndGo pins the ordering contract of a post-and-go
+// Commit on the ring datapath: Commit returns before the worker splices,
+// yet every command that reaches the shard afterwards — from the same
+// goroutine or, through Close, from any other — sees the packet, and a
+// Close racing producers loses no commit that returned nil.
+func TestRingCommitPostAndGo(t *testing.T) {
+	// fill writes a payload that names its flow and sequence number.
+	fill := func(r *Reservation, flow uint32, seq int) {
+		k := 0
+		r.Range(func(seg []byte) bool {
+			for i := range seg {
+				seg[i] = byte(int(flow)*31 + seq*7 + k)
+				k++
+			}
+			return true
+		})
+	}
+	want := func(flow uint32, seq, n int) []byte {
+		b := make([]byte, n)
+		for k := range b {
+			b[k] = byte(int(flow)*31 + seq*7 + k)
+		}
+		return b
+	}
+
+	t.Run("visible-without-drain", func(t *testing.T) {
+		const (
+			pool    = 4096
+			flows   = 32
+			perFlow = 6
+		)
+		e := newTest(t, 4, flows, pool)
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		covered := make([]bool, e.Shards())
+		for f := uint32(0); f < flows; f++ {
+			covered[e.ShardOf(f)] = true
+		}
+		for si, ok := range covered {
+			if !ok {
+				t.Fatalf("no flow maps to shard %d", si)
+			}
+		}
+		size := func(flow uint32, seq int) int { return 1 + (int(flow)*53+seq*97)%(3*queue.SegmentBytes) }
+		segs := 0
+		for seq := 0; seq < perFlow; seq++ {
+			for f := uint32(0); f < flows; f++ {
+				n := size(f, seq)
+				r, err := e.ReservePacket(f, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fill(&r, f, seq)
+				if err := r.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if r.Valid() {
+					t.Fatal("reservation still open after Commit returned nil")
+				}
+				segs += (n + queue.SegmentBytes - 1) / queue.SegmentBytes
+			}
+		}
+		// No Drain: the observation commands queue behind the commits.
+		st := e.Stats()
+		if st.EnqueuedPackets != flows*perFlow || st.EnqueuedSegments != uint64(segs) || st.QueuedSegments != segs {
+			t.Fatalf("after commits: %d packets / %d segments enqueued, %d queued; want %d / %d / %d",
+				st.EnqueuedPackets, st.EnqueuedSegments, st.QueuedSegments, flows*perFlow, segs, segs)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		for f := uint32(0); f < flows; f++ {
+			for seq := 0; seq < perFlow; seq++ {
+				v, err := e.DequeuePacketView(f)
+				if err != nil {
+					t.Fatalf("flow %d packet %d: %v", f, seq, err)
+				}
+				if got := v.AppendTo(nil); !bytes.Equal(got, want(f, seq, size(f, seq))) {
+					t.Fatalf("flow %d packet %d: payload or order mismatch (%d bytes)", f, seq, len(got))
+				}
+				v.Release()
+			}
+			if _, err := e.DequeuePacketView(f); !errors.Is(err, queue.ErrQueueEmpty) {
+				t.Fatalf("flow %d after %d packets: %v", f, perFlow, err)
+			}
+		}
+		checkNoLeaks(t, e, pool)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("close-races-producers", func(t *testing.T) {
+		const (
+			pool      = 1 << 14
+			flows     = 64
+			producers = 4
+		)
+		e := newTest(t, 4, flows, pool)
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var committed, committedSegs, refused atomic.Int64
+		var exited atomic.Int32
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				defer exited.Add(1)
+				rng := rand.New(rand.NewSource(int64(p) + 1))
+				for seq := 0; ; seq++ {
+					f := uint32(rng.Intn(flows))
+					n := 1 + rng.Intn(3*queue.SegmentBytes)
+					r, err := e.ReservePacket(f, n)
+					switch {
+					case errors.Is(err, ErrClosed):
+						return
+					case errors.Is(err, queue.ErrNoFreeSegments):
+						// Nobody dequeues: wait for Close.
+						runtime.Gosched()
+						continue
+					case err != nil:
+						t.Error(err)
+						return
+					}
+					fill(&r, f, seq)
+					segs := r.Segments()
+					switch err := r.Commit(); {
+					case err == nil:
+						committed.Add(1)
+						committedSegs.Add(int64(segs))
+					case errors.Is(err, ErrClosed):
+						refused.Add(1)
+						if err := r.Abort(); err != nil {
+							t.Error(err)
+						}
+						return
+					default:
+						t.Error(err)
+						return
+					}
+				}
+			}(p)
+		}
+		for committed.Load() < 500 && exited.Load() < producers {
+			runtime.Gosched()
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		st := e.Stats()
+		if st.EnqueuedPackets != uint64(committed.Load()) {
+			t.Fatalf("EnqueuedPackets = %d, want the %d commits that returned nil (%d refused)",
+				st.EnqueuedPackets, committed.Load(), refused.Load())
+		}
+		if st.QueuedSegments != int(committedSegs.Load()) {
+			t.Fatalf("QueuedSegments = %d, want %d", st.QueuedSegments, committedSegs.Load())
+		}
+		if got := e.LentSegments(); got != 0 {
+			t.Fatalf("LentSegments = %d after aborting refused reservations, want 0", got)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestDequeueViewBatchAndNextViewBatch(t *testing.T) {
