@@ -575,7 +575,7 @@ func (e *Engine) DequeueNextBatch(max int) []Dequeued {
 	}
 	f := e.getFanout()
 	e.dequeueNext(f, e.nextStart(), anyPort, max, false)
-	out := f.appendDequeued(nil)
+	out, _ := f.appendServed(nil, nil)
 	e.putFanout(f)
 	return out
 }
@@ -625,35 +625,20 @@ func (e *Engine) drainNext(f *fanout, start, port, max int, view bool) {
 	}
 }
 
-// appendDequeued appends f's copy-delivered packets to out, shard by
-// shard in rotation order, growing out at most once.
-func (f *fanout) appendDequeued(out []Dequeued) []Dequeued {
-	n, total := len(f.parts), 0
+// appendServed appends f's delivered packets — copies to out, views to
+// outv — shard by shard in rotation order, growing each at most once.
+func (f *fanout) appendServed(out []Dequeued, outv []DequeuedView) ([]Dequeued, []DequeuedView) {
+	n, total, totalv := len(f.parts), 0, 0
 	for i := range f.parts {
 		total += len(f.parts[i].deq)
+		totalv += len(f.parts[i].deqv)
 	}
-	if total > 0 {
-		out = slices.Grow(out, total)
-		for i := 0; i < n; i++ {
-			out = append(out, f.parts[(f.start+i)&(n-1)].deq...)
-		}
+	out, outv = slices.Grow(out, total), slices.Grow(outv, totalv)
+	for i := 0; i < n; i++ {
+		p := &f.parts[(f.start+i)&(n-1)]
+		out, outv = append(out, p.deq...), append(outv, p.deqv...)
 	}
-	return out
-}
-
-// appendViews is appendDequeued for view-delivered packets.
-func (f *fanout) appendViews(out []DequeuedView) []DequeuedView {
-	n, total := len(f.parts), 0
-	for i := range f.parts {
-		total += len(f.parts[i].deqv)
-	}
-	if total > 0 {
-		out = slices.Grow(out, total)
-		for i := 0; i < n; i++ {
-			out = append(out, f.parts[(f.start+i)&(n-1)].deqv...)
-		}
-	}
-	return out
+	return out, outv
 }
 
 // chargeLevels debits the bytes actually served on flow against every

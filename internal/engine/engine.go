@@ -149,12 +149,6 @@ type Config struct {
 	// in the Stats residence histogram. 0 disables sampling (no memory or
 	// hot-path cost).
 	ResidenceSample int
-	// BusyPoll makes ring workers spin (yielding between polls, bounded by
-	// busyPollSpins) before parking when their ring runs empty, trading CPU
-	// for wakeup latency on latency-critical deployments. Workers still
-	// park once the spin budget is exhausted, so an idle engine does not
-	// burn cores.
-	BusyPoll bool
 	// WorkSteal lets ring workers execute commands from a backlogged
 	// sibling shard's ring when their own is empty. Shard execution is then
 	// serialized by the shard mutex (the owner pays roughly one uncontended

@@ -11,10 +11,17 @@ package engine
 // timer, not 10k goroutines.
 //
 // A port's entire service — every shard's scheduling unit — runs on its
-// home pacer, so a Sink's Transmit is never concurrent with itself (the
+// home pacer, so a sink is never called concurrently with itself (the
 // contract the per-port workers provided). The pacer is not a ring
 // worker: it consumes the same fan-out (dequeueNext) as the pull API,
 // which reaches each shard through the executor on either datapath.
+//
+// Push delivery has one service loop (servePortOnce) for both sink
+// kinds, as the paper's memory manager has one transmit path: the shaper
+// budget, the idle-park handshake, the counters and the wheel are shared,
+// and only the delivery step (deliver) differs — a Sink registered by
+// Serve gets reassembled buffers, a SinkV registered by ServeViews gets
+// zero-copy views, selected by the same view flag the pull API passes.
 //
 // Wheel geometry: level 0 holds one slot per tick (1ms) for the next
 // 256ms; level 1 holds 256ms-wide slots for the next ~65s and cascades
@@ -99,24 +106,14 @@ type pacer struct {
 	runnable []int32
 	nextRun  []int32
 	pendBuf  []int32
-	out      []Dequeued
-	outv     []DequeuedView
-	fan      *fanout // dequeue scratch, built on first use (see scratch)
+	out      []Dequeued     // burst scratch for a Sink (see dequeuePort)
+	outv     []DequeuedView // burst scratch for a SinkV
+	fan      *fanout        // the bursts' fan-out scratch, off the engine's pool
 	timer    *time.Timer
 }
 
 func newPacer(e *Engine, home int) *pacer {
 	return &pacer{e: e, home: home, wake: make(chan struct{}, 1)}
-}
-
-// scratch returns the pacer's own fan-out scratch: the serve loops pull a
-// packet at a time from shaped ports, and a private scratch keeps that
-// off the engine's pool.
-func (pc *pacer) scratch() *fanout {
-	if pc.fan == nil {
-		pc.fan = newFanout(len(pc.e.shards))
-	}
-	return pc.fan
 }
 
 // enqueue queues a port for the pacer's attention and wakes it. Called
@@ -179,6 +176,7 @@ func (e *Engine) pacerLoop(pc *pacer) {
 	for i := range pc.l1 {
 		pc.l1[i] = -1
 	}
+	pc.fan = newFanout(len(e.shards))
 	pc.curTick = pc.nowTick()
 	pc.timer = time.NewTimer(time.Hour)
 	if !pc.timer.Stop() {
@@ -398,10 +396,11 @@ func (pc *pacer) tickAfter(wait time.Duration) int64 {
 
 // servePortOnce gives port pi one service round: up to a burst of
 // packets (bounded by the shaper's byte budget for the coming tick),
-// then decides where the port goes next — runnable, wheel, or idle.
+// then decides where the port goes next — runnable, wheel, or idle. One
+// loop serves both sink kinds; only the delivery step (deliver) differs
+// between a Sink's reassembled buffers and a SinkV's packet views.
 func (pc *pacer) servePortOnce(pi int32) {
-	e := pc.e
-	p := e.ports[pi]
+	p := pc.e.ports[pi]
 	if !p.serving.Load() || p.paused.Load() {
 		// A paused port holds its backlog; Resume (or a fresh Serve)
 		// kicks the pacer, so no state needs to be kept here.
@@ -411,10 +410,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 	if box == nil {
 		return
 	}
-	if box.sinkV != nil {
-		pc.servePortViews(pi, p, box)
-		return
-	}
+	view := box.sinkV != nil
 	shaped := p.sh.enabled()
 	budget := int64(1) << 62
 	if shaped {
@@ -428,6 +424,11 @@ func (pc *pacer) servePortOnce(pi int32) {
 	}
 	sent := int64(0)
 	pkts := 0
+	// One pool transaction per burst for view sinks: the engine's
+	// references are dropped per packet as SendView returns, but the
+	// chains ride the accumulator back to the store in bulk.
+	var rel queue.ViewReleaser
+	defer rel.Flush()
 	for pkts < unshapedBatch {
 		max := unshapedBatch - pkts
 		if shaped {
@@ -437,8 +438,8 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// rate exact).
 			max = 1
 		}
-		pc.out = e.dequeuePort(p, pc.out[:0], max)
-		if len(pc.out) == 0 {
+		n := pc.dequeuePort(p, max, view)
+		if n == 0 {
 			// Nothing servable: declare intent to park, then scan once
 			// more. The scan enters every shard's critical section, so a
 			// producer whose setActive preceded our scan is seen by it,
@@ -446,8 +447,7 @@ func (pc *pacer) servePortOnce(pi int32) {
 			// idle=true (the store below happens-before our lock
 			// acquisitions) and re-queues us via notify.
 			p.idle.Store(true)
-			pc.out = e.dequeuePort(p, pc.out[:0], max)
-			if len(pc.out) == 0 {
+			if n = pc.dequeuePort(p, max, view); n == 0 {
 				// Idle spells are not pacing jitter: the next departure
 				// starts a fresh gap sequence.
 				p.txLastNs.Store(0)
@@ -455,30 +455,23 @@ func (pc *pacer) servePortOnce(pi int32) {
 			}
 			p.idle.Store(false)
 		}
-		for i := range pc.out {
-			d := pc.out[i]
-			pc.out[i] = Dequeued{}
-			if err := box.sink.Transmit(d); err != nil {
-				// The link died mid-burst: the erroring packet belongs to
-				// the sink (Transmit owns its buffer either way); the rest
-				// of the batch — already dequeued — is released so the
-				// buffers are not leaked. Those packets count as dequeued
-				// but not transmitted, like frames lost on a failing
-				// link. The port stops being served (Serve re-arms it).
-				for j := i + 1; j < len(pc.out); j++ {
-					e.putBuf(pc.out[j].Data)
-					pc.out[j] = Dequeued{}
-				}
+		for i := 0; i < n; i++ {
+			bytes, err := pc.deliver(p, box, i, &rel)
+			if err != nil {
+				// The link died mid-burst; deliver released the rest of
+				// the burst. Those packets count as dequeued but not
+				// transmitted, like frames lost on a failing link. The
+				// port stops being served (Serve re-arms it).
 				p.serving.Store(false)
 				return
 			}
 			p.txPackets.Add(1)
-			p.txBytes.Add(uint64(d.Bytes))
+			p.txBytes.Add(uint64(bytes))
 			if shaped {
-				p.sh.charge(d.Bytes)
+				p.sh.charge(bytes)
 				p.noteDeparture(time.Now().UnixNano())
 			}
-			sent += int64(d.Bytes)
+			sent += int64(bytes)
 			pkts++
 		}
 		if shaped && sent >= budget {
@@ -497,92 +490,67 @@ func (pc *pacer) servePortOnce(pi int32) {
 	pc.makeRunnable(pi)
 }
 
-// servePortViews is servePortOnce's burst loop for a port served through
-// ServeViews: packets cross as zero-copy views instead of reassembled
-// buffers. Pacing, idle parking and error handling mirror the copy loop
-// exactly; the only delivery difference is the reference discipline — the
-// engine's reference is dropped as soon as SendView returns (success or
-// error), so a sink that completes transmission asynchronously must
-// Retain the view before returning.
-func (pc *pacer) servePortViews(pi int32, p *port, box *sinkBox) {
+// dequeuePort serves up to max packets from p's scheduling units into the
+// pacer's burst scratch — out for copy delivery, outv for views — rotating
+// the starting shard per call, and returns how many it picked. It is
+// DequeueNext[Batch] with the pick restricted to one port, sharing the
+// same commands so the datapath handling cannot diverge. Only p's home
+// pacer calls it (shardCursor is pacer-local).
+func (pc *pacer) dequeuePort(p *port, max int, view bool) int {
 	e := pc.e
-	shaped := p.sh.enabled()
-	budget := int64(1) << 62
-	if shaped {
-		b, wait := p.sh.budget(time.Now(), pacerTick)
-		if b <= 0 {
-			p.throttled.Add(1)
-			pc.schedule(pi, pc.tickAfter(wait))
-			return
+	p.shardCursor++
+	start := int(p.shardCursor) & (len(e.shards) - 1)
+	pc.out, pc.outv = pc.out[:0], pc.outv[:0]
+	if max == 1 {
+		// A shaped port is served a packet at a time: single picks need
+		// no per-shard scratch.
+		var r result
+		if !e.dequeueNextOne(start, p.idx, view, &r) {
+			return 0
 		}
-		budget = b
+		if view {
+			pc.outv = append(pc.outv, DequeuedView{Flow: r.flow, Bytes: r.n, View: r.view})
+		} else {
+			pc.out = append(pc.out, Dequeued{Flow: r.flow, Data: r.data, Bytes: r.n})
+		}
+		return 1
 	}
-	sent := int64(0)
-	pkts := 0
-	// One pool transaction per burst: the engine's references are dropped
-	// per packet as SendView returns, but the chains ride the accumulator
-	// back to the store in bulk.
-	var rel queue.ViewReleaser
-	defer rel.Flush()
-	for pkts < unshapedBatch {
-		max := unshapedBatch - pkts
-		if shaped {
-			// Packet-at-a-time under shaping, exactly as the copy loop:
-			// the bucket overdraws by at most one packet.
-			max = 1
-		}
-		pc.outv = e.dequeuePortViews(p, pc.outv[:0], max)
-		if len(pc.outv) == 0 {
-			// Park intent plus one more scan — the same idle handshake as
-			// the copy loop; see servePortOnce for why the double scan
-			// cannot strand a producer's notify.
-			p.idle.Store(true)
-			pc.outv = e.dequeuePortViews(p, pc.outv[:0], max)
-			if len(pc.outv) == 0 {
-				// Idle spells are not pacing jitter (see the copy loop).
-				p.txLastNs.Store(0)
-				return // parked; notify will bring the port back
+	f := pc.fan
+	e.drainNext(f, start, p.idx, max, view)
+	pc.out, pc.outv = f.appendServed(pc.out, pc.outv)
+	f.reset()
+	return len(pc.out) + len(pc.outv)
+}
+
+// deliver hands the burst's i-th packet to p's sink and returns its byte
+// count — the one step of the serve loop that differs between sink kinds.
+// A Sink's Transmit owns its buffer whether or not it fails. A SinkV does
+// not own its view: the engine's reference goes to rel as SendView
+// returns, success or error, so an asynchronous sink Retains first. On a
+// sink error the rest of the burst, already dequeued, is released —
+// buffers back to the pool, views to rel — so nothing leaks.
+func (pc *pacer) deliver(p *port, box *sinkBox, i int, rel *queue.ViewReleaser) (int, error) {
+	if box.sinkV == nil {
+		d := pc.out[i]
+		pc.out[i] = Dequeued{}
+		err := box.sink.Transmit(d)
+		if err != nil {
+			for j := i + 1; j < len(pc.out); j++ {
+				pc.e.putBuf(pc.out[j].Data)
+				pc.out[j] = Dequeued{}
 			}
-			p.idle.Store(false)
 		}
-		for i := range pc.outv {
-			d := pc.outv[i]
-			pc.outv[i] = DequeuedView{}
-			err := box.sinkV.SendView(p.idx, d)
-			// Drop the engine's reference whether the sink succeeded or
-			// not; an erroring sink that kept the view retained it first.
-			rel.Add(d.View)
-			if err != nil {
-				// The link died mid-burst: the rest of the batch — already
-				// dequeued — is released so the lent segments return to the
-				// pool. Those packets count as dequeued but not
-				// transmitted, like frames lost on a failing link.
-				for j := i + 1; j < len(pc.outv); j++ {
-					rel.Add(pc.outv[j].View)
-					pc.outv[j] = DequeuedView{}
-				}
-				p.serving.Store(false)
-				return
-			}
-			p.txPackets.Add(1)
-			p.txBytes.Add(uint64(d.Bytes))
-			if shaped {
-				p.sh.charge(d.Bytes)
-				p.noteDeparture(time.Now().UnixNano())
-			}
-			sent += int64(d.Bytes)
-			pkts++
-		}
-		if shaped && sent >= budget {
-			break
+		return d.Bytes, err
+	}
+	d := pc.outv[i]
+	pc.outv[i] = DequeuedView{}
+	err := box.sinkV.SendView(p.idx, d)
+	rel.Add(d.View)
+	if err != nil {
+		for j := i + 1; j < len(pc.outv); j++ {
+			rel.Add(pc.outv[j].View)
+			pc.outv[j] = DequeuedView{}
 		}
 	}
-	if shaped {
-		if _, wait := p.sh.budget(time.Now(), pacerTick); wait > 0 {
-			p.throttled.Add(1)
-			pc.schedule(pi, pc.tickAfter(wait))
-			return
-		}
-	}
-	pc.makeRunnable(pi)
+	return d.Bytes, err
 }

@@ -9,8 +9,9 @@ package engine
 // egress.go), and a port served through Serve is driven by its home
 // shard's pacer goroutine (see pacer.go): it picks via the configured
 // class and flow disciplines, paces against the port's token-bucket
-// shaper (see shaper.go), and pushes reassembled packets into the
-// registered Sink — push-mode delivery with backpressure, where the old
+// shaper (see shaper.go), and pushes packets into the registered sink —
+// reassembled buffers for a Sink, zero-copy views for a SinkV, through
+// one service loop. That is push-mode delivery with backpressure; the
 // DequeueNextBatch pull loop survives as the unported path.
 //
 // Pause/Resume model link-level flow control (a paused port holds its
@@ -53,7 +54,8 @@ func (f SinkFunc) Transmit(d Dequeued) error { return f(d) }
 // sinkBox wraps a port's consumer for atomic publication (atomic.Pointer
 // needs a concrete pointed-to type; the interfaces themselves are two
 // words). Exactly one of the two fields is set — sink by Serve, sinkV by
-// ServeViews — and the pacer's service loop branches on which.
+// ServeViews. The pacer's one service loop takes its view flag from it
+// and branches on it only to deliver (see pacer.deliver).
 type sinkBox struct {
 	sink  Sink
 	sinkV SinkV
@@ -271,19 +273,26 @@ func (e *Engine) Paused(port int) (bool, error) {
 // Serve registers sink as port's transmitter and hands the port to its
 // home shard's pacer (starting that pacer's goroutine on first use): the
 // pacer picks packets via the configured disciplines, paces them against
-// the port's shaper on its timing wheel, and pushes them into sink until
-// the engine closes or sink returns an error. On a sink error, packets
-// already picked for the current burst are released — counted as
-// dequeued but not transmitted, like frames lost on a failing link. One
-// service per port; a second Serve on a live port fails. Serving any
-// number of ports costs one goroutine per shard, not one per port.
+// the port's shaper on its timing wheel, and pushes them into sink as
+// reassembled buffers until the engine closes or sink returns an error.
+// On a sink error, packets already picked for the current burst are
+// released — counted as dequeued but not transmitted, like frames lost on
+// a failing link — and the port stops until it is served again. One
+// service per port; a second Serve or ServeViews on a live port fails.
+// Serving any number of ports costs one goroutine per shard, not one per
+// port. ServeViews is the same service with zero-copy views.
 func (e *Engine) Serve(port int, sink Sink) error {
+	if sink == nil {
+		return fmt.Errorf("engine: nil sink for port %d", port)
+	}
+	return e.serve(port, &sinkBox{sink: sink})
+}
+
+// serve is the one registration behind Serve and ServeViews.
+func (e *Engine) serve(port int, box *sinkBox) error {
 	p, err := e.portAt(port)
 	if err != nil {
 		return err
-	}
-	if sink == nil {
-		return fmt.Errorf("engine: nil sink for port %d", port)
 	}
 	e.lifeMu.Lock()
 	defer e.lifeMu.Unlock()
@@ -293,8 +302,8 @@ func (e *Engine) Serve(port int, sink Sink) error {
 	if !p.serving.CompareAndSwap(false, true) {
 		return fmt.Errorf("engine: port %d is already being served", port)
 	}
-	p.sink.Store(&sinkBox{sink: sink})
-	p.txLastNs.Store(0) // a re-Serve must not count downtime as a gap
+	p.sink.Store(box)
+	p.txLastNs.Store(0) // a re-serve must not count downtime as a gap
 	p.pc.start()
 	p.kick()
 	return nil
@@ -304,30 +313,6 @@ func (e *Engine) Serve(port int, sink Sink) error {
 // picks at most — the same burst the pull loops use, so push-mode
 // delivery pays the same per-shard amortization as DequeueNextBatch.
 const unshapedBatch = 64
-
-// dequeuePort serves up to max packets from p's scheduling units,
-// rotating the starting shard per call, appending to out. It is
-// DequeueNext[Batch] with the pick restricted to one port, sharing the
-// same commands so the datapath handling cannot diverge. Only p's home
-// pacer calls it (shardCursor is pacer-local).
-func (e *Engine) dequeuePort(p *port, out []Dequeued, max int) []Dequeued {
-	p.shardCursor++
-	start := int(p.shardCursor) & (len(e.shards) - 1)
-	if max == 1 {
-		// A shaped port is served a packet at a time: single picks need
-		// no per-shard scratch.
-		var r result
-		if e.dequeueNextOne(start, p.idx, false, &r) {
-			out = append(out, Dequeued{Flow: r.flow, Data: r.data, Bytes: r.n})
-		}
-		return out
-	}
-	f := p.pc.scratch()
-	e.drainNext(f, start, p.idx, max, false)
-	out = f.appendDequeued(out)
-	f.reset()
-	return out
-}
 
 // PortStat is one port's slice of the transmit-side statistics.
 type PortStat struct {

@@ -441,13 +441,6 @@ func (e *Engine) stopPorts() {
 	e.portWG.Wait()
 }
 
-// busyPollSpins is the bounded spin budget of Config.BusyPoll: how many
-// empty polls (each yielding the processor) a worker makes before parking.
-// Large enough to ride out a producer's inter-burst gap, small enough that
-// a worker whose traffic stopped is parked within microseconds of the
-// budget draining — the park-within-budget test holds the engine to that.
-const busyPollSpins = 1024
-
 // Work-stealing tuning. A victim is worth visiting when its ring backlog
 // is at least stealThreshold commands (half a drain batch — below that the
 // owner clears it faster than a thief can take the mutex), and a thief
@@ -547,14 +540,8 @@ func (e *Engine) worker(si int) {
 	// free-count mirror is deferred while this worker owns the shard.
 	s.m.SetDeferPublish(s.admKind == policy.KindNone)
 	for {
-		var n int
-		var closed bool
 		t0 := time.Now()
-		if e.cfg.BusyPoll {
-			n, closed = s.ring.PopWaitSpin(w.buf, busyPollSpins)
-		} else {
-			n, closed = s.ring.PopWait(w.buf)
-		}
+		n, closed := s.ring.PopWait(w.buf)
 		t1 := time.Now()
 		s.wIdleNs.Add(t1.Sub(t0).Nanoseconds())
 		if n > 0 {
@@ -616,12 +603,8 @@ func (e *Engine) workerSteal(si int, w *workerScratch) {
 		if e.stealRound(si, w) {
 			continue
 		}
-		spins := 0
-		if e.cfg.BusyPoll {
-			spins = busyPollSpins
-		}
 		t0 := time.Now()
-		s.ring.WaitReady(spins)
+		s.ring.WaitReady()
 		s.wIdleNs.Add(time.Since(t0).Nanoseconds())
 	}
 }

@@ -174,47 +174,6 @@ func TestWorkStealReducesMaxBusyShare(t *testing.T) {
 	}
 }
 
-// TestBusyPollParksWhenIdle: busy-poll mode must not leak a spinning CPU —
-// once traffic stops, every worker exhausts its bounded spin budget and
-// parks on the ring's wake channel.
-func TestBusyPollParksWhenIdle(t *testing.T) {
-	e, err := New(Config{Shards: 2, NumFlows: 64, NumSegments: 256, StoreData: true, BusyPoll: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for f := uint32(0); f < 16; f++ {
-		if err := e.EnqueueAsync(f, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// Traffic has stopped; busyPollSpins yields bound how long a worker
-	// may keep polling. Generous deadline: the budget is microseconds even
-	// on a loaded machine.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		parked := 0
-		for _, s := range e.shards {
-			if s.ring.Parked() {
-				parked++
-			}
-		}
-		if parked == len(e.shards) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d busy-poll workers parked after idle deadline", parked, len(e.shards))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestExecBatchCoalescesFinishes is the white-box contract of the wakeup
 // coalescing: a drained batch carrying several commands of one completion
 // costs that completion a single countdown decrement (and so at most one
@@ -329,7 +288,7 @@ func TestPacerNotifyBurstNoStrand(t *testing.T) {
 // TestWorkStealSyncFallback: the steal knob must not disturb the
 // synchronous datapath or the closed-mode observation surface.
 func TestWorkStealSyncFallback(t *testing.T) {
-	e, err := New(Config{Shards: 2, NumFlows: 32, NumSegments: 128, StoreData: true, WorkSteal: true, BusyPoll: true})
+	e, err := New(Config{Shards: 2, NumFlows: 32, NumSegments: 128, StoreData: true, WorkSteal: true})
 	if err != nil {
 		t.Fatal(err)
 	}

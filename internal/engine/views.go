@@ -23,12 +23,12 @@ package engine
 // Reference discipline: every view starts with one reference owned by
 // whoever the engine handed it to. Pull-API callers (DequeuePacketView,
 // DequeueNextView, the batch paths) own their views and must Release each
-// exactly once. Push-mode sinks (ServeViews) do NOT own the view — the
-// engine drops its reference as soon as SendView returns — so a sink that
-// completes transmission asynchronously (a NIC-style descriptor ring)
-// must Retain before returning and Release on completion. Retain/Release
-// are safe from any goroutine; double release panics (see
-// queue.PacketView.Release).
+// exactly once. Push-mode sinks (ServeViews, served by the same pacer
+// loop as Serve) do NOT own the view — the engine drops its reference as
+// soon as SendView returns — so a sink that completes transmission
+// asynchronously (a NIC-style descriptor ring) must Retain before
+// returning and Release on completion. Retain/Release are safe from any
+// goroutine; double release panics (see queue.PacketView.Release).
 //
 // Accounting: segments checked out in views or open reservations are in
 // the lent state, counted by Stats.LentSegments and by the conservation
@@ -115,7 +115,7 @@ func (e *Engine) DequeueNextViewBatch(max int) []DequeuedView {
 	}
 	f := e.getFanout()
 	e.dequeueNext(f, e.nextStart(), anyPort, max, true)
-	out := f.appendViews(nil)
+	_, out := f.appendServed(nil, nil)
 	e.putFanout(f)
 	return out
 }
@@ -153,55 +153,14 @@ func (e *Engine) DequeueViewBatch(flows []uint32) (views []PacketView, errs []er
 // --- delivery: push mode ---
 
 // ServeViews registers sink as port's zero-copy transmitter — Serve with
-// packet views instead of reassembled buffers. The pacer picks packets
-// via the configured disciplines, paces them against the port's shaper,
-// and pushes views into sink until the engine closes or sink returns an
-// error (on which the rest of the picked burst is released, counted as
-// dequeued but not transmitted). The engine drops its reference to each
-// view as SendView returns; asynchronous sinks Retain first. One service
-// per port; a second Serve or ServeViews on a live port fails.
+// packet views instead of reassembled buffers, through the same pacer
+// loop and under the same rules. The engine drops its reference to each
+// view as SendView returns; asynchronous sinks Retain first.
 func (e *Engine) ServeViews(port int, sink SinkV) error {
-	p, err := e.portAt(port)
-	if err != nil {
-		return err
-	}
 	if sink == nil {
 		return fmt.Errorf("engine: nil view sink for port %d", port)
 	}
-	e.lifeMu.Lock()
-	defer e.lifeMu.Unlock()
-	if e.mode.Load() == modeClosed {
-		return ErrClosed
-	}
-	if !p.serving.CompareAndSwap(false, true) {
-		return fmt.Errorf("engine: port %d is already being served", port)
-	}
-	p.sink.Store(&sinkBox{sinkV: sink})
-	p.pc.start()
-	p.kick()
-	return nil
-}
-
-// dequeuePortViews serves up to max views from p's scheduling units,
-// rotating the starting shard per call, appending to out — dequeuePort
-// for the view serve loop. Only p's home pacer calls it (shardCursor is
-// pacer-local).
-func (e *Engine) dequeuePortViews(p *port, out []DequeuedView, max int) []DequeuedView {
-	p.shardCursor++
-	start := int(p.shardCursor) & (len(e.shards) - 1)
-	if max == 1 {
-		// A shaped port is served a packet at a time (see dequeuePort).
-		var r result
-		if e.dequeueNextOne(start, p.idx, true, &r) {
-			out = append(out, DequeuedView{Flow: r.flow, Bytes: r.n, View: r.view})
-		}
-		return out
-	}
-	f := p.pc.scratch()
-	e.drainNext(f, start, p.idx, max, true)
-	out = f.appendViews(out)
-	f.reset()
-	return out
+	return e.serve(port, &sinkBox{sinkV: sink})
 }
 
 // --- ingest: write-in-place reservations ---

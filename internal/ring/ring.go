@@ -244,47 +244,22 @@ func (r *Ring[T]) PopWait(buf []T) (n int, closed bool) {
 	}
 }
 
-// PopWaitSpin is PopWait with a busy-poll prologue: before parking on the
-// wake channel the consumer makes up to spins empty polls, yielding the
-// processor between them, so a command posted within the spin window is
-// picked up without a park/unpark round trip. The spin budget is bounded —
-// once it is exhausted the call parks exactly like PopWait, so a consumer
-// whose traffic stops cannot burn a core forever. Must be called only by
-// the single consumer.
-func (r *Ring[T]) PopWaitSpin(buf []T, spins int) (n int, closed bool) {
-	for i := 0; i < spins; i++ {
-		if n = r.PopBatch(buf); n > 0 {
-			return n, false
-		}
-		if r.tail.Load()&closedBit != 0 {
-			// Closed: fall through to PopWait's drain-then-report logic.
-			return r.PopWait(buf)
-		}
-		runtime.Gosched()
-	}
-	return r.PopWait(buf)
-}
-
 // WaitReady blocks until a command is ready at the head, the ring is
 // closed, or a Poke arrives — without popping anything. Callers that
 // serialize consumption externally (the engine's work-stealing workers,
 // which pop only under the shard mutex) wait here so the ring is never
-// popped outside that serialization. Up to spins empty polls run before
-// parking. closed=true means the tail is sealed, NOT that the ring is
-// drained — commands already claimed may still be publishing; poll
-// Drained for the exit condition. A false return is only a hint (data, or
-// a Poke with none): the caller re-checks.
-func (r *Ring[T]) WaitReady(spins int) (closed bool) {
-	for i := 0; ; i++ {
+// popped outside that serialization. closed=true means the tail is
+// sealed, NOT that the ring is drained — commands already claimed may
+// still be publishing; poll Drained for the exit condition. A false
+// return is only a hint (data, or a Poke with none): the caller
+// re-checks.
+func (r *Ring[T]) WaitReady() (closed bool) {
+	for {
 		if r.peek() {
 			return false
 		}
 		if r.tail.Load()&closedBit != 0 {
 			return true
-		}
-		if i < spins {
-			runtime.Gosched()
-			continue
 		}
 		// Same sleeper/waker protocol as PopWait: announce, re-check, park.
 		r.sleeping.Store(true)
@@ -303,11 +278,6 @@ func (r *Ring[T]) Drained() bool {
 	tail := r.tail.Load()
 	return tail&closedBit != 0 && r.head.Load() == tail&^closedBit
 }
-
-// Parked reports whether the consumer has announced it is (about to be)
-// parked on the wake channel. Telemetry/test hook: momentarily stale by
-// construction.
-func (r *Ring[T]) Parked() bool { return r.sleeping.Load() }
 
 // Poke wakes a parked consumer without publishing a command, and reports
 // whether a consumer was actually parked. Work stealing uses it to recruit

@@ -233,11 +233,6 @@ type ConcurrentConfig struct {
 	// enqueued on a shard is stamped and its enqueue→dequeue time feeds
 	// the EngineStats residence histogram (p50/p99/max). 0 disables.
 	ResidenceSample int
-	// BusyPoll makes the asynchronous datapath's shard workers spin
-	// briefly (bounded budget, yielding between polls) before parking when
-	// their command ring runs empty — lower wakeup latency at the price of
-	// CPU while traffic pauses. Workers still park once the budget drains.
-	BusyPoll bool
 	// WorkSteal lets idle shard workers execute commands from a
 	// backlogged sibling's ring, serialized by the shard mutex, so a
 	// skewed flow distribution cannot pin one worker at 100% while the
@@ -261,7 +256,6 @@ func NewConcurrentEngine(cfg ConcurrentConfig) (*ConcurrentQueueManager, error) 
 		PortRate:        cfg.PortRate,
 		RingCapacity:    cfg.RingCapacity,
 		ResidenceSample: cfg.ResidenceSample,
-		BusyPoll:        cfg.BusyPoll,
 		WorkSteal:       cfg.WorkSteal,
 	})
 	if err != nil {
