@@ -135,6 +135,33 @@ func BenchmarkEngineMTUIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginePullIdle is the cost of a consumer pull that finds
+// nothing: a started, empty 2-shard engine answering DequeueNextViewBatch.
+// Consumers poll like this whenever they outrun the producers. The
+// headline is ns/call (equal to ns/op: one pull per iteration).
+func BenchmarkEnginePullIdle(b *testing.B) {
+	cm, err := NewConcurrentEngine(ConcurrentConfig{
+		Flows:    DefaultFlows,
+		Segments: 1 << 12,
+		Shards:   2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cm.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer cm.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := cm.DequeueNextViewBatch(64); len(out) != 0 {
+			b.Fatalf("empty engine served %d packets", len(out))
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/call")
+}
+
 // benchMTUSharded is the enqueue/dequeue round trip: per-packet cost with
 // no cross-goroutine handoff, the closest measure of the per-segment path.
 func benchMTUSharded(b *testing.B, mixCfg traffic.SizeMixConfig, payload []byte, view bool) {

@@ -529,23 +529,29 @@ func (e *Engine) FlowTenant(flow uint32) (int, error) {
 // whichever port it belongs to. ok is false when the engine holds no
 // packets. ReleaseBuffer the data when done. On the synchronous datapath
 // it allocates nothing beyond the pooled payload buffer, so per-packet
-// drain loops stay allocation-free.
+// drain loops stay allocation-free. On the ring datapath idle shards
+// (see shard.idle) are skipped without a round trip.
 func (e *Engine) DequeueNext() (Dequeued, bool) {
 	var r result
-	if !e.dequeueNextOne(e.nextStart(), anyPort, false, &r) {
+	if !e.dequeueNextOne(e.nextStart(), anyPort, false, true, &r) {
 		return Dequeued{}, false
 	}
 	return Dequeued{Flow: r.flow, Data: r.data, Bytes: r.n}, true
 }
 
 // dequeueNextOne serves one packet picked on port (anyPort = all) into r,
-// trying the shards in turn from start. It reports false when no shard
-// had a packet (or the engine is closed).
-func (e *Engine) dequeueNextOne(start, port int, view bool, r *result) bool {
+// trying the shards in turn from start (with skipIdle, not idle ones). It
+// reports false when no shard had a packet (or the engine is closed).
+func (e *Engine) dequeueNextOne(start, port int, view, skipIdle bool, r *result) bool {
 	n := len(e.shards)
+	skipIdle = skipIdle && e.mode.Load() == modeRing
 	c := command{kind: opDequeueNext, view: view, port: int32(port)}
 	for i := 0; i < n; i++ {
-		if !e.do(e.shards[(start+i)&(n-1)], &c, r) {
+		s := e.shards[(start+i)&(n-1)]
+		if skipIdle && s.idle() {
+			continue
+		}
+		if !e.do(s, &c, r) {
 			return false
 		}
 		if r.err == nil {
@@ -567,8 +573,8 @@ func (e *Engine) nextStart() int {
 // configured egress discipline across all ports. The starting shard
 // rotates per call so shards share the egress bandwidth; within a shard,
 // units and flows are picked by the level-stack discipline against the
-// active lists. Buffers come from the engine pool — ReleaseBuffer each
-// packet's Data when done.
+// active lists. Idle shards are skipped as in DequeueNext. Buffers come
+// from the engine pool — ReleaseBuffer each packet's Data when done.
 func (e *Engine) DequeueNextBatch(max int) []Dequeued {
 	if max <= 0 {
 		return nil
@@ -587,24 +593,35 @@ func (e *Engine) DequeueNextBatch(max int) []Dequeued {
 // up the shards that filled their split — they may hold more — and the
 // shards the split gave nothing (with max < shards, the whole backlog may
 // live on one of them), so a backlog concentrated on one shard still
-// drains at full batch size.
+// drains at full batch size. Idle shards are marked in f and skipped by
+// both passes; their split share is not handed on, as on sync.
 func (e *Engine) dequeueNext(f *fanout, start, port, max int, view bool) {
-	n := len(e.shards)
+	n, idle := len(e.shards), 0
+	ring := e.mode.Load() == modeRing
 	for i := 0; i < n; i++ {
-		p := &f.parts[(start+i)&(n-1)]
+		si := (start + i) & (n - 1)
+		p := &f.parts[si]
 		p.want = max / n
 		if i < max%n {
 			p.want++
 		}
+		if ring && e.shards[si].idle() {
+			p.want, p.idle = 0, true
+			idle++
+		}
+	}
+	if idle == n {
+		return
 	}
 	e.fanOut(f, &command{kind: opDequeueNext, view: view, port: int32(port)})
 	e.drainNext(f, start, port, max, view)
 }
 
 // drainNext is the serial pass over the shards in rotation from start:
-// every shard whose part was not given a budget, or filled it, is asked
-// for what is left of max (none, once the engine is closed). On its own —
-// a pacer serving one port's burst — it drains shard after shard.
+// every shard whose part is not marked idle and was not given a budget,
+// or filled it, is asked for what is left of max (none, once the engine
+// is closed). On its own — a pacer serving one port's burst, whose
+// fan-out marks no shard idle — it drains shard after shard.
 func (e *Engine) drainNext(f *fanout, start, port, max int, view bool) {
 	n, got := len(e.shards), 0
 	for i := range f.parts {
@@ -615,7 +632,7 @@ func (e *Engine) drainNext(f *fanout, start, port, max int, view bool) {
 	for i := 0; i < n && got < max; i++ {
 		si := (start + i) & (n - 1)
 		p := &f.parts[si]
-		if had := p.served(view); p.want == 0 || had == p.want {
+		if had := p.served(view); !p.idle && (p.want == 0 || had == p.want) {
 			c.slot, c.arg = int32(si), max-got
 			if !e.do(e.shards[si], &c, &f.r) {
 				break

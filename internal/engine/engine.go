@@ -220,19 +220,22 @@ type shard struct {
 	// res samples packet residence times (nil when disabled).
 	res *residence
 
-	// Worker accounting, written by the ring datapath and read by
-	// ShardStats/Stats from any goroutine. Atomics, not plain counters: in
-	// work-stealing mode a thief updates this shard's stolen/coalesced
-	// words while the shard's own worker accounts a steal of its own
-	// elsewhere. Padded so the accounting stores cannot bounce the lines
-	// holding the mutex or the plain counters above, and so the trailing
-	// word does not share with whatever follows the shard allocation.
+	// Worker accounting and the idle mirrors (see idle), written by the
+	// ring datapath once per drained batch and read from any goroutine.
+	// Atomics, not plain counters: in work-stealing mode a thief updates
+	// this shard's stolen/coalesced words and mirrors while the shard's
+	// own worker accounts a steal of its own elsewhere. Padded so these
+	// stores cannot bounce the lines holding the mutex or the plain
+	// counters above, and so the trailing word does not share with
+	// whatever follows the shard allocation.
 	_              [hotPad]byte
-	wBusyNs        atomic.Int64  // ns this shard's worker spent executing (own and stolen batches)
-	wIdleNs        atomic.Int64  // ns this shard's worker spent waiting for work
+	wCmds          atomic.Uint64 // commands this shard's worker executed (own and stolen)
+	wParks         atomic.Uint64 // times this shard's worker found no work and waited for it
 	wStealBatches  atomic.Uint64 // batches this shard's worker executed from siblings' rings
 	wStolenCmds    atomic.Uint64 // commands siblings executed from this shard's ring
 	coalescedWakes atomic.Uint64 // completion decrements merged into one per-drain flush
+	executed       atomic.Uint64 // commands executed from this shard's ring, by owner or thief
+	active         atomic.Int64  // activeFlows as the last executed batch left it
 	_              [hotPad]byte
 }
 

@@ -17,14 +17,14 @@ func TestHotPadCoversPrefetchPair(t *testing.T) {
 	}
 }
 
-// TestShardLayout: the worker-accounting atomics are written by workers
-// (and thieves) on every drain, while the mutex and the plain counters
-// above them are the owner's hot state.
+// TestShardLayout: the worker-accounting atomics and idle mirrors are
+// written by workers (and thieves) on every drain, while the mutex and
+// the plain counters above them are the owner's hot state.
 func TestShardLayout(t *testing.T) {
 	var s shard
 	offRes := unsafe.Offsetof(s.res) // last plain field before the block
-	offAcct := unsafe.Offsetof(s.wBusyNs)
-	offLast := unsafe.Offsetof(s.coalescedWakes)
+	offAcct := unsafe.Offsetof(s.wCmds)
+	offLast := unsafe.Offsetof(s.active)
 
 	if d := offAcct - offRes; d < hotPad {
 		t.Errorf("layout: shard accounting block only %d bytes past owner state, want >= %d", d, hotPad)
@@ -34,9 +34,9 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
-// TestPortLayout: the enqueue path CASes idle per notify; the pacer writes
-// tx counters per packet. Neither may share a line with the other or with
-// the read-only header.
+// TestPortLayout: the enqueue path loads idle per notify (and CASes it
+// when the port is parked); the pacer writes tx counters per packet.
+// Neither may share a line with the other or with the read-only header.
 func TestPortLayout(t *testing.T) {
 	var p port
 	offHdr := unsafe.Offsetof(p.shardCursor)

@@ -505,7 +505,8 @@ func (pc *pacer) dequeuePort(p *port, max int, view bool) int {
 		// A shaped port is served a packet at a time: single picks need
 		// no per-shard scratch.
 		var r result
-		if !e.dequeueNextOne(start, p.idx, view, &r) {
+		// Skip no shard: the park scan's no-strand argument needs them all.
+		if !e.dequeueNextOne(start, p.idx, view, false, &r) {
 			return 0
 		}
 		if view {

@@ -71,9 +71,10 @@ type port struct {
 
 	shardCursor uint32 // rotating start shard; only the home pacer touches it
 
-	// Control words, padded off the read-only header: idle is CASed by
-	// every enqueue-path notify, so it must not share a line with fields
-	// the pacer reads per packet. layout_test.go pins the distances.
+	// Control words, padded off the read-only header: idle is loaded by
+	// every enqueue-path notify (and CASed when set), so it must not share
+	// a line with fields the pacer reads per packet. layout_test.go pins
+	// the distances.
 	_       [hotPad]byte
 	paused  atomic.Bool
 	serving atomic.Bool             // Serve registered a sink; cleared on error/close
@@ -153,9 +154,11 @@ func (p *port) gapStats() (samples, meanNs, p99Ns uint64) {
 
 // notify re-queues the port on its home pacer if (and only if) it went
 // idle. Called from setActive inside shard critical sections, so the
-// not-serving and port-busy cases must stay one atomic load.
+// not-serving and port-busy cases must stay one atomic load: a CAS would
+// be a locked read-modify-write on a word every shard's activations share
+// (all flows start on port 0), so it runs only once the load reads idle.
 func (p *port) notify() {
-	if p.idle.CompareAndSwap(true, false) {
+	if p.idle.Load() && p.idle.CompareAndSwap(true, false) {
 		p.pc.enqueue(int32(p.idx))
 	}
 }

@@ -18,6 +18,9 @@ package engine
 //     EnqueueAsync and Commit post with no completion at all (post): an
 //     async enqueue's outcomes (admission drops, pool rejections) are
 //     visible in Stats counters, and a commit has no outcome to wait for.
+//     A worker reads no clock and counts once per drained batch; each
+//     batch publishes the shard's idle mirrors, so pulls and Drain skip a
+//     shard with nothing to do without a round trip (see idle).
 //   - After Close: the workers have exited, so the command runs under the
 //     now-uncontended mutex — only control-plane and observation calls
 //     (opCall) still execute; datapath commands report ErrClosed.
@@ -35,7 +38,6 @@ import (
 	"errors"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"npqm/internal/policy"
 	"npqm/internal/queue"
@@ -213,6 +215,17 @@ func (e *Engine) post(s *shard, c *command) bool {
 	return e.mode.Load() == modeRing && s.ring.Push(*c) == nil
 }
 
+// idle reports whether shard s, on the ring datapath, has nothing for a
+// pull: every command its ring accepted has executed, and they left it no
+// active flow. A pull skips an idle shard with no post, completion or
+// wake. The loads run accepted → executed → active, against execBatch's
+// stores of active and then executed; Reservation.Commit's godoc gives
+// the argument that no posted packet is missed.
+func (s *shard) idle() bool {
+	accepted := s.ring.Accepted()
+	return s.executed.Load() == accepted && s.active.Load() == 0
+}
+
 // run executes fn inside shard s's critical section — the opCall case of
 // the executor, used by every control-plane and slow-path operation. fn
 // captures its own results and always runs exactly once.
@@ -241,6 +254,7 @@ type fanout struct {
 // part is one shard's share of a fanout.
 type part struct {
 	want int     // requests (per-flow batches) or packet budget (egress); 0 = not visited
+	idle bool    // egress: the shard was idle (see shard.idle), so no pass visits it
 	idxs []int32 // per-flow batches: this shard's request indices, in order
 	segs int     // EnqueueBatch: segments linked
 	deq  []Dequeued
@@ -278,7 +292,7 @@ func (f *fanout) reset() {
 		p := &f.parts[i]
 		clear(p.deq)
 		clear(p.deqv)
-		p.want, p.segs = 0, 0
+		p.want, p.segs, p.idle = 0, 0, false
 		p.idxs, p.deq, p.deqv = p.idxs[:0], p.deq[:0], p.deqv[:0]
 	}
 	f.reqs, f.flows, f.pkts, f.views, f.errs = nil, nil, nil, nil, nil
@@ -356,15 +370,17 @@ func (e *Engine) Start() error {
 		}
 		s.ring = r
 	}
-	e.mode.Store(modeRing)
-	// Barrier: every synchronous-path critical section entered before the
-	// flip still holds its shard mutex; acquiring and releasing all of them
-	// guarantees those sections have finished. Sections entered after the
-	// flip re-check the mode under the lock (see do) and bail out, so
-	// once this loop completes the workers are the sole shard writers.
+	// Barrier: acquiring every shard mutex waits out each synchronous-path
+	// critical section. Holding them all, publish the idle mirror of the
+	// backlog the sync datapath built (it keeps none), then flip the mode,
+	// so a pull that sees the ring datapath sees the backlog. Sections
+	// queued on a mutex re-check the mode under the lock (see do) and bail
+	// out, so from here on the workers are the sole shard writers.
 	for _, s := range e.shards {
 		s.mu.Lock()
+		s.active.Store(int64(s.activeFlows))
 	}
+	e.mode.Store(modeRing)
 	for _, s := range e.shards {
 		s.mu.Unlock()
 	}
@@ -376,9 +392,10 @@ func (e *Engine) Start() error {
 }
 
 // Drain blocks until every command posted before the call has been
-// executed: it fans a barrier command out to every shard ring and waits
-// for the full countdown. On the synchronous datapath it is a no-op (nil);
-// after Close it reports ErrClosed (Close itself drains).
+// executed: it fans a barrier command out to every shard ring whose
+// executed count has not caught its accepted count (read in that order)
+// and waits for the full countdown. On the synchronous datapath it is a
+// no-op (nil); after Close it reports ErrClosed (Close itself drains).
 func (e *Engine) Drain() error {
 	switch e.mode.Load() {
 	case modeSync:
@@ -387,8 +404,10 @@ func (e *Engine) Drain() error {
 		return ErrClosed
 	}
 	f := e.getFanout()
-	for i := range f.parts {
-		f.parts[i].want = 1
+	for i, s := range e.shards {
+		if s.ring.Accepted() != s.executed.Load() {
+			f.parts[i].want = 1
+		}
 	}
 	all := e.fanOut(f, &command{kind: opBarrier})
 	e.putFanout(f)
@@ -472,8 +491,9 @@ func newWorkerScratch() *workerScratch {
 // flushes completion countdowns merged per distinct completion — one
 // decrement and at most one producer wakeup per completion per drain,
 // instead of one per command. Merged decrements are counted on the shard
-// as coalesced wakes. The caller must hold s's consumer role (own ring
-// drain, or the shard mutex in work-stealing mode).
+// as coalesced wakes. Before the flush it publishes the idle mirrors,
+// active before executed (see idle). The caller must hold s's consumer
+// role (own ring drain, or the shard mutex in work-stealing mode).
 func (e *Engine) execBatch(s *shard, cmds []command, w *workerScratch) {
 	cos, cnt := w.cos[:0], w.cnt[:0]
 	coalesced := uint64(0)
@@ -512,6 +532,8 @@ func (e *Engine) execBatch(s *shard, cmds []command, w *workerScratch) {
 	// publish is deferred on the single-writer path, but pool-wide Free()
 	// must be fresh by the time a woken producer can observe the batch.
 	s.m.PublishFree()
+	s.active.Store(int64(s.activeFlows))
+	s.executed.Add(uint64(len(cmds)))
 	for i := range cos {
 		cos[i].finishN(cnt[i])
 		cos[i] = nil // don't pin pooled completions through the scratch
@@ -540,13 +562,14 @@ func (e *Engine) worker(si int) {
 	// free-count mirror is deferred while this worker owns the shard.
 	s.m.SetDeferPublish(s.admKind == policy.KindNone)
 	for {
-		t0 := time.Now()
-		n, closed := s.ring.PopWait(w.buf)
-		t1 := time.Now()
-		s.wIdleNs.Add(t1.Sub(t0).Nanoseconds())
+		n, closed := s.ring.PopBatch(w.buf), false
+		if n == 0 {
+			s.wParks.Add(1)
+			n, closed = s.ring.PopWait(w.buf)
+		}
 		if n > 0 {
 			e.execBatch(s, w.buf[:n], w)
-			s.wBusyNs.Add(time.Since(t1).Nanoseconds())
+			s.wCmds.Add(uint64(n))
 		}
 		if closed {
 			// Republish so the closed-mode observation surface sees exact
@@ -574,10 +597,9 @@ func (e *Engine) workerSteal(si int, w *workerScratch) {
 		s.mu.Lock()
 		n := s.ring.PopBatch(w.buf)
 		if n > 0 {
-			t0 := time.Now()
 			e.execBatch(s, w.buf[:n], w)
 			s.mu.Unlock()
-			s.wBusyNs.Add(time.Since(t0).Nanoseconds())
+			s.wCmds.Add(uint64(n))
 			if s.ring.Len() >= stealThreshold {
 				// Still backlogged after a full batch: recruit a parked
 				// sibling to steal from us.
@@ -603,9 +625,8 @@ func (e *Engine) workerSteal(si int, w *workerScratch) {
 		if e.stealRound(si, w) {
 			continue
 		}
-		t0 := time.Now()
+		s.wParks.Add(1)
 		s.ring.WaitReady()
-		s.wIdleNs.Add(time.Since(t0).Nanoseconds())
 	}
 }
 
@@ -626,10 +647,9 @@ func (e *Engine) stealRound(si int, w *workerScratch) bool {
 		}
 		k := v.ring.PopBatch(w.buf[:stealBatch])
 		if k > 0 {
-			t0 := time.Now()
 			e.execBatch(v, w.buf[:k], w)
 			v.mu.Unlock()
-			e.shards[si].wBusyNs.Add(time.Since(t0).Nanoseconds())
+			e.shards[si].wCmds.Add(uint64(k))
 			e.shards[si].wStealBatches.Add(1)
 			v.wStolenCmds.Add(uint64(k))
 			did = true

@@ -84,15 +84,16 @@ type ShardStat struct {
 	BufferedBytes    int64
 	ActiveFlows      int
 
-	// Ring-datapath worker accounting (zero on the synchronous datapath).
-	// Busy and idle nanoseconds are the shard's *worker's* time — in
-	// work-stealing mode busy includes batches it executed from siblings'
+	// Ring-datapath worker accounting (zero on the synchronous datapath),
+	// counted once per drained batch: the worker reads no clock.
+	// WorkerCommands counts what the shard's *worker* executed — in
+	// work-stealing mode that includes commands it took from siblings'
 	// rings, while StolenCommands counts what siblings took from this
-	// shard's ring. max(WorkerBusyNs) / sum(WorkerBusyNs) is the busy
-	// share a skewed load concentrates on one worker; stealing exists to
-	// push that toward 1/shards.
-	WorkerBusyNs   int64
-	WorkerIdleNs   int64
+	// shard's ring. max(WorkerCommands) / sum(WorkerCommands) is the share
+	// of the work a skewed load concentrates on one worker; stealing
+	// exists to push that toward 1/shards.
+	WorkerCommands uint64
+	WorkerParks    uint64 // times this worker found no work and waited for it
 	StealBatches   uint64 // batches this worker executed from sibling rings
 	StolenCommands uint64 // commands siblings executed from this shard's ring
 	CoalescedWakes uint64 // completion decrements merged per-drain on this shard
@@ -185,10 +186,9 @@ func (e *Engine) ShardStats() []ShardStat {
 			}
 		})
 		// Worker accounting is atomic — snapshot outside the critical
-		// section (reading it from inside a worker-executed closure would
-		// self-deadlock on busy time anyway).
-		out[i].WorkerBusyNs = s.wBusyNs.Load()
-		out[i].WorkerIdleNs = s.wIdleNs.Load()
+		// section.
+		out[i].WorkerCommands = s.wCmds.Load()
+		out[i].WorkerParks = s.wParks.Load()
 		out[i].StealBatches = s.wStealBatches.Load()
 		out[i].StolenCommands = s.wStolenCmds.Load()
 		out[i].CoalescedWakes = s.coalescedWakes.Load()

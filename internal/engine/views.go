@@ -96,10 +96,11 @@ func (e *Engine) DequeuePacketView(flow uint32) (PacketView, error) {
 // zero-copy view, whichever port it belongs to. ok is false when the
 // engine holds no packets. The caller owns the view — Release it when
 // done. On the synchronous datapath the call allocates nothing at all:
-// the view is a value and there is no reassembly buffer.
+// the view is a value and there is no reassembly buffer. Idle shards are
+// skipped as in DequeueNext.
 func (e *Engine) DequeueNextView() (DequeuedView, bool) {
 	var r result
-	if !e.dequeueNextOne(e.nextStart(), anyPort, true, &r) {
+	if !e.dequeueNextOne(e.nextStart(), anyPort, true, true, &r) {
 		return DequeuedView{}, false
 	}
 	return DequeuedView{Flow: r.flow, Bytes: r.n, View: r.view}, true
@@ -107,8 +108,9 @@ func (e *Engine) DequeueNextView() (DequeuedView, bool) {
 
 // DequeueNextViewBatch serves up to max packets as zero-copy views,
 // choosing flows by the configured egress discipline across all ports —
-// DequeueNextBatch without the reassembly copies. The caller owns every
-// returned view and must Release each exactly once.
+// DequeueNextBatch without the reassembly copies, skipping idle shards
+// the same way. The caller owns every returned view and must Release each
+// exactly once.
 func (e *Engine) DequeueNextViewBatch(max int) []DequeuedView {
 	if max <= 0 {
 		return nil
@@ -260,6 +262,12 @@ func (s *shard) commitLocked(flow uint32, w *queue.PacketWriter) error {
 // CheckInvariants, Drain and Close (Close drains every accepted command,
 // so no commit is lost). Only the lock-free gauges — LentSegments,
 // FreeSegments, RingOccupancy — may lag until the worker runs the splice.
+// Pulls skipping idle shards (shard.idle) keep this: the ring accepted
+// the splice before the pull loads accepted, so executed equals it only
+// in a store execBatch made after running the splice; active was stored
+// before that, so the pull's active load returns what that batch (or a
+// later one) left, and reads 0 only once the packet has left the shard.
+// Start publishes active for a sync-datapath backlog before the flip.
 func (r *Reservation) Commit() error {
 	if r.e == nil {
 		return queue.ErrWriterDone

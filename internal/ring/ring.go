@@ -18,6 +18,11 @@
 // backpressure: TryPush refuses, Push spins briefly and then yields until
 // the consumer catches up — the bounded command FIFO is exactly what keeps
 // a fast producer from outrunning the queue engine, as in the hardware.
+//
+// Accepted exposes the tail as a running count of accepted commands, so a
+// consumer that publishes how many it has executed lets any goroutine tell
+// an idle ring (everything accepted has run) from a busy one without
+// posting to it.
 package ring
 
 import (
@@ -123,6 +128,12 @@ func (r *Ring[T]) Len() int {
 	}
 	return int(n)
 }
+
+// Accepted returns how many pushes the ring has accepted since New: the
+// tail without the Close seal. It counts claims, so a command counted here
+// may still be publishing its slot. Safe from any goroutine; never
+// decreases.
+func (r *Ring[T]) Accepted() uint64 { return r.tail.Load() &^ closedBit }
 
 // TryPush publishes v without blocking. It returns ErrFull when no slot is
 // free and ErrClosed after Close.
